@@ -205,6 +205,7 @@ int Main(int argc, char** argv) {
   double best_multi = 0;
   double multi_forces_per_txn = 1.0;
   double best_shard_speedup = 0;
+  double single_thread_parity = 0;  // 1-shard / 4-shard txns/s, 1 thread
   std::vector<std::string> json_runs;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     auto [single_run, sharded_run] = RunPaired(dir, threads, txns_per_thread);
@@ -235,6 +236,8 @@ int Main(int argc, char** argv) {
     }
     if (threads == 1) {
       single = single_run.txns_per_sec;
+      single_thread_parity =
+          single_run.txns_per_sec / sharded_run.txns_per_sec;
     } else {
       best_multi = std::max(best_multi, single_run.txns_per_sec);
       if (threads >= 4) {
@@ -242,11 +245,9 @@ int Main(int argc, char** argv) {
             std::min(multi_forces_per_txn, single_run.forces_per_txn);
       }
     }
-    // Same thread count, sharded vs single log. Low thread counts favor
-    // sharding (half the fsyncs per commit — no per-batch status write —
-    // and one pipeline per shard); high counts favor the single log's
-    // batch amortization. The claim is the best same-concurrency ratio
-    // across the matrix.
+    // Same thread count, sharded vs single log: informational. Both pay
+    // one force per commit; sharding adds one pipeline per shard, the
+    // single log batches more committers per force.
     best_shard_speedup = std::max(
         best_shard_speedup, sharded_run.txns_per_sec / single_run.txns_per_sec);
   }
@@ -275,8 +276,11 @@ int Main(int argc, char** argv) {
   check(best_multi > single, "concurrent commits outrun single-threaded");
   check(multi_forces_per_txn < 1.0,
         "log forces per txn < 1 at >= 4 threads (forces shared)");
-  check(best_shard_speedup >= 2.0,
-        "4-shard striping >= 2x single-shard txns/s at equal threads");
+  // One thread, one region: both instances do identical work, one force
+  // per commit at every shard count. A per-batch status write on the single
+  // log would halve its rate.
+  check(single_thread_parity >= 0.75,
+        "1-shard keeps pace with 4-shard at 1 thread (one force each)");
   return ok ? 0 : 1;
 }
 

@@ -111,9 +111,8 @@ int Main(int argc, char** argv) {
   // Sharded leg (DESIGN.md §12): the TPC-A working set is a single region,
   // so a 4-shard log keeps every commit on the single-shard fast path —
   // exactly one log force per transaction, checked against the simulated
-  // disk's sync accounting. Throughput must be at least the 1-shard run's:
-  // the multi-shard status-write cadence skips the per-batch status seek
-  // the single log pays on this machine, so striping can only help here.
+  // disk's sync accounting. Throughput must match the 1-shard run's: both
+  // pay one force per commit, and striping must not cost anything here.
   TpcaConfig sharded_config;
   sharded_config.num_accounts = 32768;
   sharded_config.pattern = TpcaPattern::kSequential;

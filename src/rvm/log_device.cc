@@ -1,6 +1,7 @@
 #include "src/rvm/log_device.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/util/logging.h"
 
@@ -38,6 +39,7 @@ Status LogDevice::Create(Env* env, const std::string& path,
   status.tail = kLogDataStart;
   status.tail_seqno = 1;
   status.last_record_offset = 0;
+  status.max_record_bytes = kInitialMaxRecordBytes;
   RVM_ASSIGN_OR_RETURN(std::vector<uint8_t> encoded, EncodeStatusBlock(status));
   // Write the same generation-1 content to both slots so a reader finds a
   // valid block regardless of which slot the first update lands in.
@@ -273,6 +275,12 @@ StatusOr<uint64_t> LogDevice::AppendTransaction(
   if (free_space() < need + kAppendSlack) {
     return LogFull("log free space exhausted");
   }
+  if (need > status_.max_record_bytes) {
+    // Recovery sizes its torn-tail probe from the durable bound, so the
+    // raise must be on disk before a record this large can be.
+    status_.max_record_bytes = std::bit_ceil(std::max(need, kInitialMaxRecordBytes));
+    RVM_RETURN_IF_ERROR(WriteStatus());
+  }
 
   uint64_t remaining_to_end = status_.log_size - status_.tail;
   if (remaining_to_end < need) {
@@ -397,14 +405,13 @@ StatusOr<uint64_t> LogDevice::ExtendTailForward() {
     if (!record.ok()) {
       // Unreadable bytes at the expected position: either a torn final
       // append (expected after a crash — stop here and truncate) or media
-      // corruption of a committed record. Writes persist in order, so if
-      // any valid record elsewhere in the area carries this or a later
-      // sequence number, the unreadable record must once have been durable:
-      // that is corruption of committed data, and silently truncating would
-      // discard committed transactions.
-      RVM_ASSIGN_OR_RETURN(std::vector<uint64_t> successors,
-                           ScanForRecords(status_.tail_seqno, 1));
-      if (!successors.empty()) {
+      // corruption of a committed record. Writes persist in order, so if a
+      // valid successor carries this or a later sequence number, the
+      // unreadable record must once have been durable: that is corruption
+      // of committed data, and silently truncating would discard committed
+      // transactions.
+      RVM_ASSIGN_OR_RETURN(bool successor, ProbeForSuccessor());
+      if (successor) {
         return Corruption(
             "committed log record unreadable at offset " +
             std::to_string(status_.tail) + " (seqno " +
@@ -437,11 +444,47 @@ StatusOr<uint64_t> LogDevice::ExtendTailForward() {
   return found;
 }
 
+StatusOr<bool> LogDevice::ProbeForSuccessor() {
+  const uint64_t bound = status_.max_record_bytes;
+  std::vector<uint64_t> found;
+  if (bound == 0 || bound + kRecordHeaderSize >= capacity()) {
+    // No durable bound (a block written before the field existed), or one
+    // as large as the area: probe everything.
+    RVM_RETURN_IF_ERROR(ScanRangeForRecords(kLogDataStart, status_.log_size,
+                                            status_.tail_seqno, 1, &found));
+    return !found.empty();
+  }
+  // The unreadable record is at most `bound` bytes long, so its successor
+  // starts within `bound` bytes of it — or, if the successor did not fit
+  // before the end of the area, at kLogDataStart (after a wrap filler, when
+  // one fit). The extra header's worth of window covers a filler-less wrap.
+  const uint64_t window = bound + kRecordHeaderSize;
+  const uint64_t before_end = std::min(window, status_.log_size - status_.tail);
+  RVM_RETURN_IF_ERROR(ScanRangeForRecords(status_.tail,
+                                          status_.tail + before_end,
+                                          status_.tail_seqno, 1, &found));
+  if (found.empty() && before_end < window) {
+    RVM_RETURN_IF_ERROR(ScanRangeForRecords(
+        kLogDataStart, kLogDataStart + (window - before_end),
+        status_.tail_seqno, 1, &found));
+  }
+  return !found.empty();
+}
+
 StatusOr<std::vector<uint64_t>> LogDevice::ScanForRecords(uint64_t min_seqno,
                                                           size_t max_results) {
+  std::vector<uint64_t> offsets;
+  RVM_RETURN_IF_ERROR(ScanRangeForRecords(kLogDataStart, status_.log_size,
+                                          min_seqno, max_results, &offsets));
+  return offsets;
+}
+
+Status LogDevice::ScanRangeForRecords(uint64_t begin, uint64_t end,
+                                      uint64_t min_seqno, size_t max_results,
+                                      std::vector<uint64_t>* offsets) {
   // Stale records from earlier trips around the circular area always carry
   // sequence numbers below the current tail_seqno, so filtering on
-  // min_seqno makes this scan safe to run over the whole area.
+  // min_seqno makes this scan safe to run over any part of the area.
   const uint8_t magic_bytes[4] = {
       static_cast<uint8_t>(kRecordMagic & 0xff),
       static_cast<uint8_t>((kRecordMagic >> 8) & 0xff),
@@ -449,24 +492,26 @@ StatusOr<std::vector<uint64_t>> LogDevice::ScanForRecords(uint64_t min_seqno,
       static_cast<uint8_t>((kRecordMagic >> 24) & 0xff),
   };
   constexpr uint64_t kChunk = 64 * 1024;
-  std::vector<uint8_t> buffer(kChunk + sizeof(magic_bytes) - 1);
-  std::vector<uint64_t> offsets;
-  for (uint64_t chunk_start = kLogDataStart;
-       chunk_start < status_.log_size && offsets.size() < max_results;
+  end = std::min(end, status_.log_size);
+  std::vector<uint8_t> buffer(
+      std::min(kChunk, end - std::min(begin, end)) + sizeof(magic_bytes) - 1);
+  for (uint64_t chunk_start = begin;
+       chunk_start < end && offsets->size() < max_results;
        chunk_start += kChunk) {
-    // Overlap reads by 3 bytes so a magic straddling a chunk boundary is
-    // still seen (match starts are restricted to the first kChunk bytes, so
-    // the overlap never yields a duplicate).
-    uint64_t want = std::min<uint64_t>(buffer.size(),
-                                       status_.log_size - chunk_start);
+    // Match starts lie in [chunk_start, min(chunk_start + kChunk, end));
+    // reads run 3 bytes past that so a magic straddling a chunk boundary is
+    // still seen, and the overlap never yields a duplicate.
+    const uint64_t starts = std::min(kChunk, end - chunk_start);
+    const uint64_t want = std::min<uint64_t>(
+        starts + sizeof(magic_bytes) - 1, status_.log_size - chunk_start);
     RVM_ASSIGN_OR_RETURN(
         size_t n,
         file_->ReadAt(chunk_start, std::span<uint8_t>(buffer).subspan(0, want)));
     if (n < sizeof(magic_bytes)) {
       break;
     }
-    for (size_t i = 0; i + sizeof(magic_bytes) <= n && i < kChunk &&
-                       offsets.size() < max_results;
+    for (size_t i = 0; i + sizeof(magic_bytes) <= n && i < starts &&
+                       offsets->size() < max_results;
          ++i) {
       if (buffer[i] != magic_bytes[0] || buffer[i + 1] != magic_bytes[1] ||
           buffer[i + 2] != magic_bytes[2] || buffer[i + 3] != magic_bytes[3]) {
@@ -475,11 +520,11 @@ StatusOr<std::vector<uint64_t>> LogDevice::ScanForRecords(uint64_t min_seqno,
       uint64_t candidate = chunk_start + i;
       StatusOr<OwnedRecord> record = ReadRecordAt(candidate);
       if (record.ok() && record->parsed.header.seqno >= min_seqno) {
-        offsets.push_back(candidate);
+        offsets->push_back(candidate);
       }
     }
   }
-  return offsets;
+  return OkStatus();
 }
 
 bool LogDevice::InLiveRange(uint64_t offset) const {

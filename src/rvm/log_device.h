@@ -76,9 +76,11 @@ class LogDevice {
 
   // Appends a transaction record, writing a wrap filler first if the record
   // does not fit before the end of the area. Assigns the sequence number and
-  // reverse displacement. Buffered: call Sync() to force. Returns the
-  // record's log offset, or kLogFull if there is not enough free space (the
-  // caller should truncate and retry). `flags` is stored verbatim in the
+  // reverse displacement. Buffered: call Sync() to force — except that a
+  // record larger than status().max_record_bytes first raises the bound
+  // with a synced WriteStatus(). Returns the record's log offset, or kLogFull
+  // if there is not enough free space (the caller should truncate and
+  // retry). `flags` is stored verbatim in the
   // record header (the kRecordFlagShard* bits for cross-shard 2PC records).
   StatusOr<uint64_t> AppendTransaction(TransactionId tid,
                                        std::span<const RangeView> ranges,
@@ -116,24 +118,30 @@ class LogDevice {
 
   // Forward validity scan from the in-memory tail: extends tail, tail_seqno
   // and last_record_offset past any records that were forced after the
-  // status block was last written. Used once, at recovery. Returns the
-  // number of records discovered.
+  // status block was last written — every commit since the last truncation,
+  // dictionary change or Terminate. Used at recovery. Returns the number of
+  // records discovered.
   //
   // Distinguishes a torn tail from mid-log corruption: when the record at
-  // the expected position is unreadable, the whole record area is scanned
-  // for a valid record carrying the expected (or a later) sequence number.
-  // Because writes persist in order, such a successor proves the unreadable
-  // record was once durable — that is media corruption of committed data,
-  // surfaced as kCorruption instead of silently truncating committed
-  // transactions. With no successor the unreadable bytes are a torn final
-  // append (expected after a crash) and the scan stops cleanly.
+  // the expected position is unreadable, a window of the record area past it
+  // is probed for a valid record carrying the expected (or a later)
+  // sequence number. Because writes persist in order, such a successor
+  // proves the unreadable record was once durable — that is media
+  // corruption of committed data, surfaced as kCorruption instead of
+  // silently truncating committed transactions. With no successor the
+  // unreadable bytes are a torn final append (expected after a crash) and
+  // the scan stops cleanly. The window is status().max_record_bytes plus a
+  // header past the unreadable record, continued at kLogDataStart when it
+  // runs off the end of the area; the immediate successor always lies in
+  // it. A status block without that bound (written before it existed)
+  // probes the whole area. Restart therefore reads the live log plus one
+  // window, not the log's capacity.
   StatusOr<uint64_t> ExtendTailForward();
 
   // Scans the entire record area for valid records whose seqno is at least
   // `min_seqno`, regardless of the status block's head/tail. Returns their
   // absolute offsets (at most `max_results`), in ascending offset order.
-  // Used by ExtendTailForward's corruption probe and by `rvmutl LOG verify`
-  // to build a salvage report.
+  // Used by `rvmutl LOG verify` to build a salvage report.
   StatusOr<std::vector<uint64_t>> ScanForRecords(uint64_t min_seqno,
                                                  size_t max_results);
 
@@ -199,6 +207,14 @@ class LogDevice {
         status_(std::move(status)) {}
 
   Status WriteRaw(uint64_t offset, std::span<const uint8_t> bytes);
+  // ExtendTailForward's torn-tail test: true if a valid record with seqno
+  // >= tail_seqno lies in the probe window past the in-memory tail.
+  StatusOr<bool> ProbeForSuccessor();
+  // ScanForRecords over candidate record starts in [begin, end), appending
+  // to `offsets` until it holds `max_results`.
+  Status ScanRangeForRecords(uint64_t begin, uint64_t end, uint64_t min_seqno,
+                             size_t max_results,
+                             std::vector<uint64_t>* offsets);
   // file_->WriteAt with the transient-retry loop (same fd: a failed write
   // leaves no kernel state a retry cannot observe). Successful writes are
   // remembered in unsynced_writes_ for sync-retry replay.

@@ -61,6 +61,9 @@ StatusOr<std::vector<uint8_t>> EncodeStatusBlock(const LogStatusBlock& block) {
     writer.U32(entry.id);
     writer.LengthPrefixedString(entry.path);
   }
+  // After the dictionary, where an older block has zero padding: such a
+  // block decodes with max_record_bytes == 0.
+  writer.U64(block.max_record_bytes);
   // CRC goes in the last 4 bytes of the block, over everything before it.
   if (writer.size() + 4 > kStatusBlockSize) {
     return InvalidArgument("segment dictionary does not fit in status block");
@@ -105,6 +108,11 @@ StatusOr<LogStatusBlock> DecodeStatusBlock(std::span<const uint8_t> bytes) {
     entry.id = reader.U32();
     entry.path = reader.LengthPrefixedString();
     block.segments.push_back(std::move(entry));
+  }
+  // An older block whose dictionary runs into the CRC has no room for the
+  // field at all.
+  if (reader.remaining() >= sizeof(uint64_t) + 4) {
+    block.max_record_bytes = reader.U64();
   }
   if (reader.failed()) {
     return Corruption("status block truncated");

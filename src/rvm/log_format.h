@@ -8,9 +8,14 @@
 // The status block is duplicated and carries a generation number: updates
 // alternate slots, and the reader takes the valid copy with the higher
 // generation, making status updates atomic with respect to crashes. It holds
-// the head/tail offsets, the sequence number expected at the tail, and the
+// the head/tail offsets, the sequence number expected at the tail, the
 // segment dictionary mapping compact segment ids to external-data-segment
-// paths.
+// paths, and a bound on the size of any record appended since it was
+// written. It is rewritten at truncation, dictionary change, recovery and
+// Terminate, never per commit (§5.1.1): records forced after the last
+// status write are found at recovery by scanning forward from its tail, and
+// the record-size bound keeps that scan's torn-tail probe to a window past
+// the last readable record.
 //
 // A committed transaction is one record (Figure 5 of the paper):
 //
@@ -48,6 +53,9 @@ inline constexpr size_t kRecordHeaderSize = 48;
 inline constexpr size_t kRangeHeaderSize = 24;
 // Longest segment path storable in the status block dictionary.
 inline constexpr size_t kMaxSegmentPath = 230;
+// LogStatusBlock::max_record_bytes of a freshly created log: larger than any
+// ordinary commit record, so only an unusually large commit ever raises it.
+inline constexpr uint64_t kInitialMaxRecordBytes = 64 * 1024;
 
 enum class RecordType : uint8_t {
   kTransaction = 1,
@@ -86,6 +94,12 @@ struct LogStatusBlock {
   uint64_t last_record_offset = 0;
   SegmentId next_segment_id = 1;
   std::vector<SegmentDictEntry> segments;
+  // Power-of-two high-water mark over the encoded size of every record
+  // appended to the log. An append that would exceed it raises it with a
+  // synced status write first, so the durable block always bounds every
+  // record past its tail. 0 in a block written before the field existed:
+  // the bound is then unknown.
+  uint64_t max_record_bytes = 0;
 };
 
 // Serializes to exactly kStatusBlockSize bytes (CRC included).

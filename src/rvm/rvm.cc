@@ -376,7 +376,7 @@ Status RvmInstance::FailIfPoisoned() {
       continue;
     }
     if (shard->index == 0 || shards_.size() == 1) {
-      // The device poisoned itself (e.g. a status write from the group
+      // The device poisoned itself (e.g. a failed force from the group
       // leader); adopt its cause so stats_.poisoned records the transition.
       Poison(shard->log->poison_status());
       return poison_cause_;
@@ -663,7 +663,7 @@ StatusOr<SegmentId> RvmInstance::SegmentIdForLocked(const std::string& path) {
     log.status().segments.push_back({id, path});
     // The dictionary must be durable before any log record names this id. On
     // failure (e.g. the path overflows the status block) roll the entry back
-    // so later status writes — every single-shard group batch issues one —
+    // so later status writes — truncation, Terminate, a record-size raise —
     // still encode. Mirrors carry identical dictionaries, so an encoding
     // failure strikes shard 0 first and the rollback is all-or-none; an I/O
     // failure has already poisoned the device.
@@ -1694,26 +1694,6 @@ Status RvmInstance::CommitDurable(LogShard& shard, uint64_t target_lsn,
           forced = sync_status.ok();
           force_leg.sync_start_us = sync_start_us;
           force_leg.sync_end_us = sync_start_us + sync_us;
-          if (sync_status.ok() && shards_.size() == 1) {
-            // Persist the batch's tail so recovery after a clean crash needs
-            // no forward scan past it. The batch is already durable at this
-            // point, so a failure here cannot fail the commits — recovery
-            // rediscovers the tail by forward scanning from the older status
-            // block — but it does poison the device for future operations.
-            //
-            // Multi-shard instances skip this (DESIGN.md §12): the status
-            // write costs a second fsync per batch, and recovery forward-
-            // scans each shard from its last written status anyway. Status
-            // blocks still reach disk at every dictionary change, head move,
-            // and Terminate. The single-shard path keeps the original
-            // per-batch write so its on-disk cadence is unchanged.
-            Status status_write = shard.log->WriteStatus();
-            if (!status_write.ok()) {
-              Poison(status_write);
-              RVM_LOG_WARN("batch status write failed (commits durable): %s",
-                           status_write.ToString().c_str());
-            }
-          }
         }
       }
       group_lock.lock();

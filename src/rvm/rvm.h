@@ -597,10 +597,10 @@ class RvmInstance {
   // --- group-commit stage (no locks held on entry) ---
   // Blocks until the shard's durable_lsn >= target_lsn. Whoever finds no
   // force in flight becomes leader, optionally dwells for more arrivals
-  // (max_batch / max_wait_us), and issues one Sync for the whole batch
-  // (plus, on a single-shard instance, the status write that keeps the
-  // original one-log format's recovery fast path); everyone else waits on
-  // the shard's group_cv.
+  // (max_batch / max_wait_us), and issues one Sync for the whole batch —
+  // the commit's only log force, at every shard count; everyone else waits
+  // on the shard's group_cv. No status write: recovery forward-scans past
+  // the last written status block (§5.1.1).
   Status CommitDurable(LogShard& shard, uint64_t target_lsn,
                        uint64_t max_batch, uint64_t max_wait_us,
                        CommitSpanScope* span_scope = nullptr);

@@ -177,8 +177,10 @@ Status RvmInstance::RecoverLocked() {
   // Phase 1, every shard: find the true end of the log. Records forced after
   // the last status-block write are discovered by forward validity scanning
   // (§5.1.2's "reading the log from tail to head" starts from this recovered
-  // tail). Multi-shard instances rely on this heavily — the group leader
-  // defers status writes, so a whole batch tail may sit past the block.
+  // tail). Commits never write the status block, at any shard count, so
+  // after a crash every commit since the last truncation, dictionary change
+  // or Terminate sits past it; the scan reads those records plus one bounded
+  // torn-tail probe window (LogDevice::ExtendTailForward).
   uint64_t discovered = 0;
   std::vector<LogShard*> live;
   for (const auto& shard : shards_) {

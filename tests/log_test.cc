@@ -5,7 +5,9 @@
 #include "src/os/mem_env.h"
 #include "src/rvm/log_device.h"
 #include "src/rvm/log_format.h"
+#include "src/util/crc32.h"
 #include "src/util/random.h"
+#include "src/util/serialize.h"
 
 namespace rvm {
 namespace {
@@ -30,6 +32,7 @@ TEST(StatusBlockTest, RoundTrip) {
   block.last_record_offset = 11000;
   block.next_segment_id = 3;
   block.segments = {{1, "/data/seg1"}, {2, "/data/seg2"}};
+  block.max_record_bytes = 256 * 1024;
 
   auto encoded = EncodeStatusBlock(block);
   ASSERT_TRUE(encoded.ok());
@@ -46,6 +49,46 @@ TEST(StatusBlockTest, RoundTrip) {
   ASSERT_EQ(decoded->segments.size(), 2u);
   EXPECT_EQ(decoded->segments[0].id, 1u);
   EXPECT_EQ(decoded->segments[1].path, "/data/seg2");
+  EXPECT_EQ(decoded->max_record_bytes, 256u * 1024);
+}
+
+// The status block as encoded before it carried max_record_bytes: the same
+// fields, zero padding after the dictionary, CRC in the last 4 bytes.
+std::vector<uint8_t> EncodeStatusBlockWithoutRecordBound(
+    const LogStatusBlock& block) {
+  ByteWriter writer;
+  writer.U32(kStatusMagic);
+  writer.U32(kFormatVersion);
+  writer.U64(block.generation);
+  writer.U64(block.log_size);
+  writer.U64(block.head);
+  writer.U64(block.tail);
+  writer.U64(block.tail_seqno);
+  writer.U64(block.last_record_offset);
+  writer.U32(block.next_segment_id);
+  writer.U32(static_cast<uint32_t>(block.segments.size()));
+  for (const SegmentDictEntry& entry : block.segments) {
+    writer.U32(entry.id);
+    writer.LengthPrefixedString(entry.path);
+  }
+  std::vector<uint8_t> bytes = std::move(writer).Take();
+  bytes.resize(kStatusBlockSize - 4, 0);
+  const uint32_t crc = Crc32(bytes);
+  ByteWriter tail_writer(&bytes);
+  tail_writer.U32(crc);
+  return bytes;
+}
+
+TEST(StatusBlockTest, BlockWithoutRecordBoundDecodesAsUnknown) {
+  LogStatusBlock block;
+  block.generation = 4;
+  block.log_size = 1 << 20;
+  block.segments = {{1, "/data/seg1"}};
+  auto decoded = DecodeStatusBlock(EncodeStatusBlockWithoutRecordBound(block));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->generation, 4u);
+  ASSERT_EQ(decoded->segments.size(), 1u);
+  EXPECT_EQ(decoded->max_record_bytes, 0u);
 }
 
 TEST(StatusBlockTest, CorruptionDetected) {
@@ -370,6 +413,200 @@ TEST_F(LogDeviceTest, UsedAccountsAcrossWrap) {
     log_->MarkEmpty();
     EXPECT_EQ(log_->used(), 0u);
   }
+}
+
+// --- Bounded torn-tail probe -------------------------------------------------
+//
+// A log large enough that the probe window (max_record_bytes plus a header)
+// is a small part of the area, so the window's edges are observable.
+
+class BoundedProbeTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kLogSize = kLogDataStart + 1024 * 1024;
+  // Range data that makes a one-range record exactly `record_bytes` long.
+  static size_t DataFor(uint64_t record_bytes) {
+    return record_bytes - kRecordHeaderSize - kRangeHeaderSize;
+  }
+
+  void SetUp() override {
+    ASSERT_TRUE(LogDevice::Create(&env_, "/log", kLogSize, false).ok());
+    Reopen();
+  }
+
+  void Reopen() {
+    auto opened = LogDevice::Open(&env_, "/log");
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    log_ = std::move(*opened);
+  }
+
+  StatusOr<uint64_t> AppendRecordOfSize(uint64_t record_bytes,
+                                        uint8_t seed = 0) {
+    data_.push_back(Payload(DataFor(record_bytes), seed));
+    RangeView range{.segment = 1, .offset = 0, .data = data_.back()};
+    return log_->AppendTransaction(1, {&range, 1});
+  }
+
+  void FlipPayloadByte(uint64_t record_offset) {
+    auto file = env_.Open("/log", OpenMode::kReadWrite);
+    ASSERT_TRUE(file.ok());
+    uint8_t byte = 0;
+    const uint64_t at = record_offset + kRecordHeaderSize + 4;
+    ASSERT_TRUE((*file)->ReadAt(at, std::span<uint8_t>(&byte, 1)).ok());
+    byte ^= 0xFF;
+    ASSERT_TRUE((*file)->WriteAt(at, std::span<const uint8_t>(&byte, 1)).ok());
+  }
+
+  // Reopens the log as recovery would and runs the forward scan.
+  StatusOr<uint64_t> RecoverTail() {
+    auto reopened = LogDevice::Open(&env_, "/log");
+    if (!reopened.ok()) {
+      return reopened.status();
+    }
+    return (*reopened)->ExtendTailForward();
+  }
+
+  MemEnv env_;
+  std::unique_ptr<LogDevice> log_;
+  std::vector<std::vector<uint8_t>> data_;
+};
+
+TEST_F(BoundedProbeTest, FreshLogCarriesTheInitialBound) {
+  EXPECT_EQ(log_->status().max_record_bytes, kInitialMaxRecordBytes);
+}
+
+TEST_F(BoundedProbeTest, SuccessorAtTheWindowEdgeIsCorruption) {
+  // The damaged record is exactly as long as the bound allows, so its intact
+  // successor starts max_record_bytes past it: the farthest a successor can
+  // be, and still inside the probe window.
+  ASSERT_TRUE(log_->WriteStatus().ok());  // durable tail: before both
+  auto damaged = AppendRecordOfSize(kInitialMaxRecordBytes, 1);
+  auto successor = AppendRecordOfSize(256, 2);
+  ASSERT_TRUE(damaged.ok() && successor.ok());
+  ASSERT_TRUE(log_->Sync().ok());
+  ASSERT_EQ(*successor, *damaged + kInitialMaxRecordBytes);
+  EXPECT_EQ(log_->status().max_record_bytes, kInitialMaxRecordBytes)
+      << "a record exactly at the bound must not raise it";
+  FlipPayloadByte(*damaged);
+
+  auto found = RecoverTail();
+  ASSERT_FALSE(found.ok()) << "intact successor at the window edge missed";
+  EXPECT_EQ(found.status().code(), ErrorCode::kCorruption)
+      << found.status().ToString();
+}
+
+TEST_F(BoundedProbeTest, SuccessorAfterAFillerlessWrapIsCorruption) {
+  // The damaged record ends too close to the end of the area for a wrap
+  // filler, so its successor starts at kLogDataStart: the window runs off
+  // the end of the area and must continue there.
+  while (log_->status().tail < kLogSize - 3 * kInitialMaxRecordBytes) {
+    ASSERT_TRUE(AppendRecordOfSize(kInitialMaxRecordBytes / 2).ok());
+  }
+  ASSERT_TRUE(log_->Sync().ok());
+  log_->MarkEmpty();  // a truncation consumed everything so far
+  ASSERT_TRUE(log_->WriteStatus().ok());
+  const uint64_t room = kLogSize - log_->status().tail;
+  ASSERT_GT(room, kInitialMaxRecordBytes);
+  // Fill to within a header of the end with records no larger than the
+  // bound, the last one damaged.
+  uint64_t damaged = 0;
+  while (kLogSize - log_->status().tail >= kRecordHeaderSize + 4096) {
+    const uint64_t left = kLogSize - log_->status().tail - kRecordHeaderSize / 2;
+    auto offset = AppendRecordOfSize(std::min(left, kInitialMaxRecordBytes));
+    ASSERT_TRUE(offset.ok()) << offset.status().ToString();
+    damaged = *offset;
+  }
+  ASSERT_LT(kLogSize - log_->status().tail, kRecordHeaderSize);
+  auto successor = AppendRecordOfSize(256, 3);
+  ASSERT_TRUE(successor.ok());
+  ASSERT_EQ(*successor, kLogDataStart) << "successor should have wrapped";
+  ASSERT_TRUE(log_->Sync().ok());
+  FlipPayloadByte(damaged);
+
+  auto found = RecoverTail();
+  ASSERT_FALSE(found.ok()) << "successor in the wrap region missed";
+  EXPECT_EQ(found.status().code(), ErrorCode::kCorruption)
+      << found.status().ToString();
+}
+
+TEST_F(BoundedProbeTest, LargeRecordRaisesTheDurableBoundFirst) {
+  // A record past the bound raises it to the next power of two with a
+  // synced status write before the record is appended, so the raised
+  // window finds a successor the initial one could not reach.
+  ASSERT_TRUE(log_->WriteStatus().ok());
+  const uint64_t large = kInitialMaxRecordBytes + kInitialMaxRecordBytes / 2;
+  auto damaged = AppendRecordOfSize(large, 4);
+  ASSERT_TRUE(damaged.ok());
+  EXPECT_EQ(log_->status().max_record_bytes, 2 * kInitialMaxRecordBytes);
+  {
+    auto durable = LogDevice::Open(&env_, "/log");
+    ASSERT_TRUE(durable.ok());
+    EXPECT_EQ((*durable)->status().max_record_bytes,
+              2 * kInitialMaxRecordBytes);
+    EXPECT_EQ((*durable)->status().tail, *damaged)
+        << "the raise names the tail the large record is appended at";
+  }
+  auto successor = AppendRecordOfSize(256, 5);
+  ASSERT_TRUE(successor.ok());
+  ASSERT_GT(*successor, *damaged + kInitialMaxRecordBytes + kRecordHeaderSize);
+  ASSERT_TRUE(log_->Sync().ok());
+  FlipPayloadByte(*damaged);
+
+  auto found = RecoverTail();
+  ASSERT_FALSE(found.ok());
+  EXPECT_EQ(found.status().code(), ErrorCode::kCorruption)
+      << found.status().ToString();
+}
+
+TEST_F(BoundedProbeTest, BlockWithoutRecordBoundProbesTheWholeArea) {
+  // A status block written before max_record_bytes existed bounds nothing:
+  // recovery must fall back to probing the whole area. The successor here
+  // lies past any window the initial bound would give.
+  ASSERT_TRUE(log_->WriteStatus().ok());
+  LogStatusBlock before = log_->status();
+  auto damaged = AppendRecordOfSize(3 * kInitialMaxRecordBytes, 6);
+  auto successor = AppendRecordOfSize(256, 7);
+  ASSERT_TRUE(damaged.ok() && successor.ok());
+  ASSERT_TRUE(log_->Sync().ok());
+  // Overwrite the newest status slot with the older format, naming the
+  // tail before both records.
+  before.generation = log_->status().generation + 1;
+  const uint64_t slot = before.generation % 2 == 0 ? 0 : kStatusBlockSize;
+  {
+    auto file = env_.Open("/log", OpenMode::kReadWrite);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)
+                    ->WriteAt(slot, EncodeStatusBlockWithoutRecordBound(before))
+                    .ok());
+  }
+  FlipPayloadByte(*damaged);
+
+  auto reopened = LogDevice::Open(&env_, "/log");
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->status().max_record_bytes, 0u);
+  auto found = (*reopened)->ExtendTailForward();
+  ASSERT_FALSE(found.ok()) << "whole-area probe missed a distant successor";
+  EXPECT_EQ(found.status().code(), ErrorCode::kCorruption)
+      << found.status().ToString();
+}
+
+TEST_F(BoundedProbeTest, AppendToABlockWithoutRecordBoundSetsOne) {
+  // The first append after opening an older log records a bound before it
+  // writes, so from then on recovery probes a window again.
+  LogStatusBlock old = log_->status();
+  old.generation += 1;
+  const uint64_t slot = old.generation % 2 == 0 ? 0 : kStatusBlockSize;
+  {
+    auto file = env_.Open("/log", OpenMode::kReadWrite);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(
+        (*file)->WriteAt(slot, EncodeStatusBlockWithoutRecordBound(old)).ok());
+  }
+  Reopen();
+  ASSERT_EQ(log_->status().max_record_bytes, 0u);
+  ASSERT_TRUE(AppendRecordOfSize(512).ok());
+  auto durable = LogDevice::Open(&env_, "/log");
+  ASSERT_TRUE(durable.ok());
+  EXPECT_EQ((*durable)->status().max_record_bytes, kInitialMaxRecordBytes);
 }
 
 }  // namespace

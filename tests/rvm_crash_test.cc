@@ -24,8 +24,12 @@
 
 #include "src/check/crash_explorer.h"
 #include "src/os/crash_sim.h"
+#include "src/os/fault_env.h"
 #include "src/rvm/log_device.h"
 #include "src/rvm/rvm.h"
+#include "src/sim/sim_clock.h"
+#include "src/sim/sim_disk.h"
+#include "src/sim/sim_env.h"
 #include "src/util/random.h"
 
 namespace rvm {
@@ -490,6 +494,117 @@ TEST(LogCorruptionTest, TailScanDistinguishesTornTailFromCorruption) {
           << discovered.status().ToString();
     }
   }
+}
+
+TEST(LogCorruptionTest, CrashAroundARecordBoundRaiseKeepsTheBound) {
+  // A record past max_record_bytes raises the bound with a synced status
+  // write before the record is written. Crash at every op boundary of that
+  // sequence: whatever survives, the durable bound covers every durable
+  // record, and recovery's forward scan runs clean.
+  constexpr uint64_t kBigLog = kLogDataStart + 1024 * 1024;
+  std::vector<uint8_t> small(200, 0x11);
+  std::vector<uint8_t> large(kInitialMaxRecordBytes + 1000, 0x22);
+  RangeView small_range{.segment = 1, .offset = 0, .data = small};
+  RangeView large_range{.segment = 1, .offset = 0, .data = large};
+  for (uint64_t crash_op = 0; crash_op < 4; ++crash_op) {
+    SCOPED_TRACE("crash after " + std::to_string(crash_op) + " ops");
+    CrashSimEnv env;
+    ASSERT_TRUE(LogDevice::Create(&env, "/log", kBigLog, false).ok());
+    {
+      auto log = LogDevice::Open(&env, "/log");
+      ASSERT_TRUE(log.ok());
+      ASSERT_TRUE((*log)->AppendTransaction(1, {&small_range, 1}).ok());
+      ASSERT_TRUE((*log)->Sync().ok());
+      // The pending ops from here, in order: the raise's status slot, the
+      // large record, a trailing small record.
+      env.SetCrashAtOp(crash_op);
+      auto big = (*log)->AppendTransaction(2, {&large_range, 1});
+      if (big.ok()) {
+        (void)(*log)->AppendTransaction(3, {&small_range, 1});
+        (void)(*log)->Sync();
+      }
+      if (!env.crashed()) {
+        env.Crash();
+      }
+    }
+    env.Recover();
+    auto log = LogDevice::Open(&env, "/log");
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    const uint64_t bound = (*log)->status().max_record_bytes;
+    EXPECT_EQ(bound, crash_op == 0 ? kInitialMaxRecordBytes
+                                   : 2 * kInitialMaxRecordBytes);
+    ASSERT_TRUE((*log)->ExtendTailForward().ok());
+    auto offsets = (*log)->CollectRecordOffsets();
+    ASSERT_TRUE(offsets.ok());
+    EXPECT_GE(offsets->size(), 1u) << "the synced first record was lost";
+    for (uint64_t offset : *offsets) {
+      auto record = (*log)->ReadRecordAt(offset);
+      ASSERT_TRUE(record.ok());
+      EXPECT_LE(record->bytes.size(), bound)
+          << "a durable record exceeds the durable bound";
+    }
+  }
+}
+
+TEST(RestartCostTest, InitializeReadsTheLiveLogNotItsCapacity) {
+  // Restart after a crash reads the live log (forward scan, then replay)
+  // plus the status slots and one torn-tail probe window, however large
+  // the log is: ~2 MB of flush commits in a 64 MB log on the simulated log
+  // disk, counted by the disk's read accounting.
+  constexpr uint64_t kCapacity = 64ull << 20;
+  constexpr uint64_t kData = 4000;
+  constexpr uint64_t kTxns = 512;
+  constexpr uint64_t kRegion = 1 << 20;
+  SimClock clock;
+  SimDisk log_disk(&clock, "log");
+  SimDisk data_disk(&clock, "data");
+  SimEnv sim(&clock);
+  sim.Mount("/log", &log_disk);
+  sim.Mount("/data", &data_disk);
+  ASSERT_TRUE(RvmInstance::CreateLog(&sim, "/log/rvm", kCapacity).ok());
+  RegionDescriptor region;
+  region.segment_path = "/data/seg";
+  region.length = kRegion;
+  {
+    // Writes go through a fault layer so the power cut below can stop the
+    // dying instance's Terminate from writing a status block.
+    FaultInjectionEnv env(&sim);
+    RvmOptions options;
+    options.env = &env;
+    options.log_path = "/log/rvm";
+    auto rvm = RvmInstance::Initialize(options);
+    ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+    ASSERT_TRUE((*rvm)->Map(region).ok());
+    auto* base = static_cast<uint8_t*>(region.address);
+    for (uint64_t i = 0; i < kTxns; ++i) {
+      Transaction txn(**rvm);
+      uint8_t* at = base + (i * kData) % (kRegion - kData);
+      ASSERT_TRUE((*rvm)->SetRange(txn.id(), at, kData).ok());
+      std::memset(at, static_cast<int>(i), kData);
+      ASSERT_TRUE(txn.Commit(CommitMode::kFlush).ok());
+    }
+    FaultSpec power_cut;
+    power_cut.op = FaultOp::kWriteAt;
+    power_cut.sticky = true;
+    env.InjectFault(power_cut);
+  }
+  const uint64_t live = kTxns * (kRecordHeaderSize + kRangeHeaderSize + kData);
+  const uint64_t window = kInitialMaxRecordBytes + kRecordHeaderSize;
+  // Both status slots, the unreadable header at the tail, and the layout
+  // probe and magic lookahead (a few bytes each).
+  const uint64_t fixed = 2 * kStatusBlockSize + 2 * kRecordHeaderSize;
+  const uint64_t read_before = log_disk.bytes_read();
+  RvmOptions options;
+  options.env = &sim;
+  options.log_path = "/log/rvm";
+  auto rvm = RvmInstance::Initialize(options);
+  ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+  const uint64_t read = log_disk.bytes_read() - read_before;
+  EXPECT_EQ((*rvm)->statistics().recovery_records_applied.load(), kTxns);
+  EXPECT_GE(read, live) << "recovery did not read the live log";
+  EXPECT_LE(read, 2 * live + window + fixed)
+      << "restart read " << read << " bytes for " << live
+      << " bytes of live log";
 }
 
 TEST(CrashRecoveryTest, RandomWritebackAtCrashStillAtomic) {

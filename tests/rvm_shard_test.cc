@@ -1,8 +1,8 @@
 // Sharded multi-log tests (DESIGN.md §12): option validation, shard-count
 // detection and mismatch handling, striping, cross-shard transactions
 // through the internal 2PC, recovery across shards, and the force-count
-// guarantees (a single-shard transaction costs exactly one fsync on a
-// multi-shard instance thanks to deferred status writes).
+// guarantees (a single-shard transaction costs exactly one fsync at every
+// shard count: commits never write the status block).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -353,30 +353,42 @@ TEST(ShardForceTest, SingleShardCommitCostsExactlyOneFsyncOnShardedInstance) {
   EXPECT_EQ(env.sync_count() - syncs_before, 1u);
 }
 
-TEST(ShardForceTest, SingleShardInstanceKeepsStatusWritePerBatch) {
-  // The 1-shard configuration preserves the original on-disk cadence: the
-  // group leader force is a data sync plus a status-block write (itself
-  // synced), i.e. two fsyncs per batch.
+TEST(ShardForceTest, SingleShardInstanceFlushCommitCostsOneFsync) {
+  // One shard is simply N=1: the group leader forces the record and writes
+  // no status block, so a flush commit is exactly one fsync (§5.1.1, Table
+  // 1). The commit is still permanent: after a power failure, recovery
+  // finds the record by forward scanning past the last status write.
   CrashSimEnv env;
   ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", kLogSize).ok());
   RvmOptions options;
   options.env = &env;
   options.log_path = "/log";
+  {
+    auto rvm = RvmInstance::Initialize(options);
+    ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+    RegionDescriptor region;
+    region.segment_path = "/seg";
+    region.length = kPage;
+    ASSERT_TRUE((*rvm)->Map(region).ok());
+    auto* base = static_cast<uint8_t*>(region.address);
+
+    const uint64_t syncs_before = env.sync_count();
+    auto tid = (*rvm)->BeginTransaction(RestoreMode::kRestore);
+    ASSERT_TRUE(tid.ok());
+    ASSERT_TRUE((*rvm)->SetRange(*tid, base, 1).ok());
+    *base = 0x7F;
+    ASSERT_TRUE((*rvm)->EndTransaction(*tid, CommitMode::kFlush).ok());
+    EXPECT_EQ(env.sync_count() - syncs_before, 1u);
+    env.Crash();  // before Terminate could write a status block
+  }
+  env.Recover();
   auto rvm = RvmInstance::Initialize(options);
   ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
   RegionDescriptor region;
   region.segment_path = "/seg";
   region.length = kPage;
   ASSERT_TRUE((*rvm)->Map(region).ok());
-  auto* base = static_cast<uint8_t*>(region.address);
-
-  const uint64_t syncs_before = env.sync_count();
-  auto tid = (*rvm)->BeginTransaction(RestoreMode::kRestore);
-  ASSERT_TRUE(tid.ok());
-  ASSERT_TRUE((*rvm)->SetRange(*tid, base, 1).ok());
-  *base = 0x7F;
-  ASSERT_TRUE((*rvm)->EndTransaction(*tid, CommitMode::kFlush).ok());
-  EXPECT_EQ(env.sync_count() - syncs_before, 2u);
+  EXPECT_EQ(*static_cast<const uint8_t*>(region.address), 0x7F);
 }
 
 // --- Recovery paths --------------------------------------------------------
