@@ -34,13 +34,13 @@ std::string RenderMetricsText(const RvmStatistics& stats,
                               const RvmGauges& gauges);
 
 // The flat signal map the SLO engine evaluates each sampler tick: every
-// scalar gauge under its ForEachGauge name (commit_p99_us,
+// counter and every scalar gauge under its visitor name (commit_p99_us,
 // log_utilization, quarantined_shards, checksum_mismatches, slow_commits,
-// ...). Counters that matter for alerting (slow_commits,
-// checksum_mismatches) are mirrored into gauges already, so gauges are the
-// complete signal surface — and the same map can be rebuilt offline from a
-// recorded time-series sample, which is what `rvmutl slo --replay` does.
-std::map<std::string, double> SloSignals(const RvmGauges& gauges);
+// ...). The names are disjoint, and a time-series sample carries exactly
+// these keys in its "gauges" and "counters" members, so `rvmutl slo
+// --replay` rebuilds the same map offline from a recorded sample.
+std::map<std::string, double> SloSignals(const RvmStatistics& stats,
+                                        const RvmGauges& gauges);
 
 }  // namespace rvm
 

@@ -5,10 +5,17 @@
 // like right now": log head/tail geometry, utilization, how many bytes a
 // truncation could reclaim, queue depths, and per-region page-vector state.
 //
+// Every metric has one name and one definition (DESIGN.md §10): a gauge
+// never copies an RvmStatistics counter, so ForEachCounter, ForEachGauge and
+// ForEachHistogram name disjoint sets, and each per-shard / per-region field
+// is listed once, in its row's ForEachField. Every view — the time-series
+// sample, the OpenMetrics exposition, the SLO signal map, `rvmutl stats` —
+// is rendered from those visitors.
+//
 // Produced by RvmInstance::Introspect() under the staged locks, consumed by
-// the StatsSampler time series, `rvmutl top`, and tests. The flat numeric
-// JSON rendering (GaugesJson) is the "gauges" member of every
-// rvm-timeseries-v2 sample line.
+// the StatsSampler time series, the exposition, `rvmutl`, and tests. The
+// flat numeric JSON rendering (GaugesJson) is the "gauges" member of every
+// rvm-timeseries-v3 sample line.
 #ifndef RVM_RVM_GAUGES_H_
 #define RVM_RVM_GAUGES_H_
 
@@ -26,14 +33,25 @@ namespace rvm {
 // committed-but-unflushed changes (PageEntry::write_blocked).
 struct RegionGauges {
   std::string segment_path;
-  uint64_t segment_offset = 0;
-  uint64_t length = 0;
   uint64_t num_pages = 0;
   uint64_t dirty_pages = 0;        // committed changes not yet in the segment
   uint64_t queued_pages = 0;       // present in the page queue
   uint64_t uncommitted_pages = 0;  // pages with uncommitted_refs > 0
   uint64_t reserved_pages = 0;     // write-blocked (uncommitted or unflushed)
   uint64_t active_transactions = 0;
+
+  // Visits every numeric field as (name, value): the keys of a time-series
+  // region row (after "segment") and the rvm_region_<name>{segment=...}
+  // series.
+  template <typename Fn>
+  void ForEachField(Fn&& fn) const {
+    fn("pages", num_pages);
+    fn("dirty_pages", dirty_pages);
+    fn("queued_pages", queued_pages);
+    fn("uncommitted_pages", uncommitted_pages);
+    fn("reserved_pages", reserved_pages);
+    fn("active_transactions", active_transactions);
+  }
 };
 
 // One log shard's slice of the snapshot (DESIGN.md §12). On a multi-shard
@@ -64,6 +82,32 @@ struct ShardGauges {
   // flight right now), 2 = quarantined, 3 = repairing. `rvmutl health`
   // renders these and derives its exit code from the worst shard.
   uint64_t health = 0;
+
+  // Visits every numeric field but the index as (name, value): the keys of
+  // a time-series shard row (after "shard"), the rvm_shard_<name>{shard=K}
+  // series and the `rvmutl stats` shard rows.
+  template <typename Fn>
+  void ForEachField(Fn&& fn) const {
+    fn("log_capacity", log_capacity);
+    fn("log_head", log_head);
+    fn("log_tail", log_tail);
+    fn("log_wrapped", log_wrapped);
+    fn("log_bytes_in_use", log_bytes_in_use);
+    fn("appended_lsn", appended_lsn);
+    fn("durable_lsn", durable_lsn);
+    fn("page_queue_depth", page_queue_depth);
+    fn("spool_entries", spool_entries);
+    fn("spool_bytes", spool_bytes);
+    fn("group_waiters", group_waiters);
+    fn("group_leader_active", group_leader_active);
+    fn("records_appended", records_appended);
+    fn("forces", forces);
+    fn("prepares", prepares);
+    fn("truncations", truncations);
+    fn("poisoned", poisoned);
+    fn("retries", retries);
+    fn("health", health);
+  }
 };
 
 struct RvmGauges {
@@ -97,22 +141,11 @@ struct RvmGauges {
   uint64_t group_leader_active = 0;
   // truncations_started - truncations_completed at the snapshot instant.
   uint64_t truncations_in_flight = 0;
-  uint64_t poisoned = 0;
   uint64_t log_shards = 1;
 
-  // Data-segment integrity (DESIGN.md §14): cumulative scrub/verify
-  // progress, mirrored from the statistics counters so one timeseries
-  // sample shows both the scan rate and whether mismatches are being
-  // repaired or escalating to quarantine.
-  uint64_t pages_scrubbed = 0;
-  uint64_t checksum_mismatches = 0;
-  uint64_t pages_repaired = 0;
-  uint64_t pages_quarantined = 0;
-
-  // Span tracing (DESIGN.md §15): commits that blew the slow-commit
-  // threshold, spans recorded across every shard ring, and spans lost to
-  // ring wrap-around. All zero when span tracing is disabled.
-  uint64_t slow_commits = 0;
+  // Span tracing (DESIGN.md §15): spans recorded across every shard ring,
+  // and spans lost to ring wrap-around. Both zero when span tracing is
+  // disabled.
   uint64_t spans_recorded = 0;
   uint64_t spans_dropped = 0;
 
@@ -124,7 +157,8 @@ struct RvmGauges {
   // commit_latency_us histogram at snapshot time (DESIGN.md §16). Carried as
   // gauges so the time series, the OpenMetrics exposition, and the SLO
   // signal map all see the same number under the same name — which is what
-  // lets `rvmutl slo --replay` re-evaluate commit-p99 rules offline.
+  // lets `rvmutl slo --replay` re-evaluate commit-p99 rules offline. They
+  // are derived, not copies: no counter or histogram carries them.
   double commit_p50_us = 0;
   double commit_p90_us = 0;
   double commit_p99_us = 0;
@@ -152,8 +186,9 @@ struct RvmGauges {
   }
 
   // Visits every scalar gauge as (name, value): the keys of the flat
-  // "gauges" object in a time-series sample. Per-region detail is emitted
-  // separately (see GaugesJson).
+  // "gauges" object in a time-series sample and the rvm_<name> gauge
+  // families. Per-region and per-shard detail is emitted separately (see
+  // ForEachField).
   template <typename Fn>
   void ForEachGauge(Fn&& fn) const {
     fn("log_capacity", static_cast<double>(log_capacity));
@@ -174,13 +209,7 @@ struct RvmGauges {
     fn("truncations_in_flight", static_cast<double>(truncations_in_flight));
     fn("dirty_pages", static_cast<double>(total_dirty_pages()));
     fn("reserved_pages", static_cast<double>(total_reserved_pages()));
-    fn("poisoned", static_cast<double>(poisoned));
     fn("log_shards", static_cast<double>(log_shards));
-    fn("pages_scrubbed", static_cast<double>(pages_scrubbed));
-    fn("checksum_mismatches", static_cast<double>(checksum_mismatches));
-    fn("pages_repaired", static_cast<double>(pages_repaired));
-    fn("pages_quarantined", static_cast<double>(pages_quarantined));
-    fn("slow_commits", static_cast<double>(slow_commits));
     fn("spans_recorded", static_cast<double>(spans_recorded));
     fn("spans_dropped", static_cast<double>(spans_dropped));
     fn("quarantined_shards", static_cast<double>(quarantined_shards));
@@ -190,13 +219,30 @@ struct RvmGauges {
   }
 };
 
-// The gauges as one flat JSON object of numbers plus a "regions" array —
-// the "gauges" member of an rvm-timeseries-v2 sample line.
+namespace gauges_internal {
+
+// Appends one time-series row: the label member, then every field of the
+// row's ForEachField.
+template <typename Row>
+void AppendRowJson(std::string& out, const std::string& label,
+                   const Row& row) {
+  out += "{" + label;
+  row.ForEachField([&](const char* name, uint64_t value) {
+    out += ",\"" + std::string(name) + "\":" + std::to_string(value);
+  });
+  out += '}';
+}
+
+}  // namespace gauges_internal
+
+// The gauges as one flat JSON object of numbers plus "regions" and (on a
+// multi-shard instance) "shards" row arrays — the "gauges" member of an
+// rvm-timeseries-v3 sample line.
 inline std::string GaugesJson(const RvmGauges& gauges) {
-  char buf[192];
   std::string out = "{";
   bool first = true;
   gauges.ForEachGauge([&](const char* name, double value) {
+    char buf[64];
     // Integral gauges render without a fraction so documents diff cleanly.
     if (value == static_cast<double>(static_cast<uint64_t>(value))) {
       std::snprintf(buf, sizeof(buf), "%llu",
@@ -209,165 +255,24 @@ inline std::string GaugesJson(const RvmGauges& gauges) {
   });
   out += ",\"regions\":[";
   for (size_t i = 0; i < gauges.regions.size(); ++i) {
-    const RegionGauges& r = gauges.regions[i];
-    if (i > 0) {
-      out += ',';
-    }
-    out += "{\"segment\":\"" + JsonEscape(r.segment_path) + "\",";
-    std::snprintf(buf, sizeof(buf),
-                  "\"pages\":%llu,\"dirty\":%llu,\"queued\":%llu,"
-                  "\"uncommitted\":%llu,\"reserved\":%llu,\"txns\":%llu}",
-                  static_cast<unsigned long long>(r.num_pages),
-                  static_cast<unsigned long long>(r.dirty_pages),
-                  static_cast<unsigned long long>(r.queued_pages),
-                  static_cast<unsigned long long>(r.uncommitted_pages),
-                  static_cast<unsigned long long>(r.reserved_pages),
-                  static_cast<unsigned long long>(r.active_transactions));
-    out += buf;
+    const RegionGauges& region = gauges.regions[i];
+    out += i > 0 ? "," : "";
+    gauges_internal::AppendRowJson(
+        out, "\"segment\":\"" + JsonEscape(region.segment_path) + "\"",
+        region);
   }
   out += ']';
   if (!gauges.shards.empty()) {
     out += ",\"shards\":[";
     for (size_t i = 0; i < gauges.shards.size(); ++i) {
-      const ShardGauges& s = gauges.shards[i];
-      if (i > 0) {
-        out += ',';
-      }
-      std::snprintf(buf, sizeof(buf),
-                    "{\"shard\":%llu,\"capacity\":%llu,\"bytes_in_use\":%llu,"
-                    "\"head\":%llu,\"tail\":%llu,\"wrapped\":%llu,",
-                    static_cast<unsigned long long>(s.index),
-                    static_cast<unsigned long long>(s.log_capacity),
-                    static_cast<unsigned long long>(s.log_bytes_in_use),
-                    static_cast<unsigned long long>(s.log_head),
-                    static_cast<unsigned long long>(s.log_tail),
-                    static_cast<unsigned long long>(s.log_wrapped));
-      out += buf;
-      std::snprintf(buf, sizeof(buf),
-                    "\"appended_lsn\":%llu,\"durable_lsn\":%llu,"
-                    "\"page_queue\":%llu,\"spool_entries\":%llu,"
-                    "\"spool_bytes\":%llu,\"group_waiters\":%llu,"
-                    "\"leader\":%llu,",
-                    static_cast<unsigned long long>(s.appended_lsn),
-                    static_cast<unsigned long long>(s.durable_lsn),
-                    static_cast<unsigned long long>(s.page_queue_depth),
-                    static_cast<unsigned long long>(s.spool_entries),
-                    static_cast<unsigned long long>(s.spool_bytes),
-                    static_cast<unsigned long long>(s.group_waiters),
-                    static_cast<unsigned long long>(s.group_leader_active));
-      out += buf;
-      std::snprintf(buf, sizeof(buf),
-                    "\"records\":%llu,\"forces\":%llu,\"prepares\":%llu,"
-                    "\"truncations\":%llu,\"poisoned\":%llu,"
-                    "\"retries\":%llu,\"health\":%llu}",
-                    static_cast<unsigned long long>(s.records_appended),
-                    static_cast<unsigned long long>(s.forces),
-                    static_cast<unsigned long long>(s.prepares),
-                    static_cast<unsigned long long>(s.truncations),
-                    static_cast<unsigned long long>(s.poisoned),
-                    static_cast<unsigned long long>(s.retries),
-                    static_cast<unsigned long long>(s.health));
-      out += buf;
+      const ShardGauges& shard = gauges.shards[i];
+      out += i > 0 ? "," : "";
+      gauges_internal::AppendRowJson(
+          out, "\"shard\":" + std::to_string(shard.index), shard);
     }
     out += ']';
   }
   out += '}';
-  return out;
-}
-
-// Human-readable rendering for `rvmutl top`.
-inline std::string FormatGauges(const RvmGauges& gauges) {
-  char line[256];
-  std::string out;
-  std::snprintf(line, sizeof(line),
-                "log   %10llu / %llu bytes (%5.1f%% used)  head=%llu "
-                "tail=%llu%s\n",
-                static_cast<unsigned long long>(gauges.log_bytes_in_use),
-                static_cast<unsigned long long>(gauges.log_capacity),
-                gauges.log_utilization * 100.0,
-                static_cast<unsigned long long>(gauges.log_head),
-                static_cast<unsigned long long>(gauges.log_tail),
-                gauges.log_wrapped != 0 ? " (wrapped)" : "");
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "      reclaimable=%llu  lsn appended=%llu durable=%llu\n",
-                static_cast<unsigned long long>(gauges.log_reclaimable_bytes),
-                static_cast<unsigned long long>(gauges.appended_lsn),
-                static_cast<unsigned long long>(gauges.durable_lsn));
-  out += line;
-  std::snprintf(
-      line, sizeof(line),
-      "queues page=%llu spool=%llu (%llu bytes) group=%llu%s txns=%llu "
-      "trunc-in-flight=%llu%s\n",
-      static_cast<unsigned long long>(gauges.page_queue_depth),
-      static_cast<unsigned long long>(gauges.spool_entries),
-      static_cast<unsigned long long>(gauges.spool_bytes),
-      static_cast<unsigned long long>(gauges.group_waiters),
-      gauges.group_leader_active != 0 ? "+leader" : "",
-      static_cast<unsigned long long>(gauges.open_transactions),
-      static_cast<unsigned long long>(gauges.truncations_in_flight),
-      gauges.poisoned != 0 ? "  POISONED" : "");
-  out += line;
-  if (gauges.pages_scrubbed != 0 || gauges.checksum_mismatches != 0 ||
-      gauges.pages_repaired != 0 || gauges.pages_quarantined != 0) {
-    std::snprintf(
-        line, sizeof(line),
-        "scrub  pages=%llu mismatches=%llu repaired=%llu quarantined=%llu\n",
-        static_cast<unsigned long long>(gauges.pages_scrubbed),
-        static_cast<unsigned long long>(gauges.checksum_mismatches),
-        static_cast<unsigned long long>(gauges.pages_repaired),
-        static_cast<unsigned long long>(gauges.pages_quarantined));
-    out += line;
-  }
-  if (gauges.spans_recorded != 0 || gauges.slow_commits != 0) {
-    std::snprintf(line, sizeof(line),
-                  "spans  recorded=%llu dropped=%llu slow-commits=%llu\n",
-                  static_cast<unsigned long long>(gauges.spans_recorded),
-                  static_cast<unsigned long long>(gauges.spans_dropped),
-                  static_cast<unsigned long long>(gauges.slow_commits));
-    out += line;
-  }
-  for (const ShardGauges& s : gauges.shards) {
-    const char* health_marker = "";
-    if (s.health == 1) {
-      health_marker = "  RETRYING";
-    } else if (s.health == 2) {
-      health_marker = "  QUARANTINED";
-    } else if (s.health == 3) {
-      health_marker = "  REPAIRING";
-    } else if (s.poisoned != 0) {
-      health_marker = "  POISONED";
-    }
-    std::snprintf(
-        line, sizeof(line),
-        "shard %2llu  %10llu / %llu bytes  head=%llu tail=%llu%s  "
-        "records=%llu forces=%llu prepares=%llu trunc=%llu retries=%llu%s\n",
-        static_cast<unsigned long long>(s.index),
-        static_cast<unsigned long long>(s.log_bytes_in_use),
-        static_cast<unsigned long long>(s.log_capacity),
-        static_cast<unsigned long long>(s.log_head),
-        static_cast<unsigned long long>(s.log_tail),
-        s.log_wrapped != 0 ? " (wrapped)" : "",
-        static_cast<unsigned long long>(s.records_appended),
-        static_cast<unsigned long long>(s.forces),
-        static_cast<unsigned long long>(s.prepares),
-        static_cast<unsigned long long>(s.truncations),
-        static_cast<unsigned long long>(s.retries), health_marker);
-    out += line;
-  }
-  for (const RegionGauges& r : gauges.regions) {
-    std::snprintf(line, sizeof(line),
-                  "region %-32s pages=%llu dirty=%llu queued=%llu "
-                  "uncommitted=%llu reserved=%llu txns=%llu\n",
-                  r.segment_path.c_str(),
-                  static_cast<unsigned long long>(r.num_pages),
-                  static_cast<unsigned long long>(r.dirty_pages),
-                  static_cast<unsigned long long>(r.queued_pages),
-                  static_cast<unsigned long long>(r.uncommitted_pages),
-                  static_cast<unsigned long long>(r.reserved_pages),
-                  static_cast<unsigned long long>(r.active_transactions));
-    out += line;
-  }
   return out;
 }
 

@@ -135,7 +135,7 @@ struct RvmOptions {
   // sampling thread's period; 0 means no thread — samples are taken only by
   // explicit SampleNow() calls (the mode for simulated environments, whose
   // clock does not advance with wall time). When sampling is enabled, the
-  // ring is flushed as an "rvm-timeseries-v2" JSONL document to
+  // ring is flushed as an "rvm-timeseries-v3" JSONL document to
   // "<log_path>.timeseries.jsonl" on Terminate and (best-effort) on poison,
   // and on demand via DumpTimeseries(path).
   uint64_t sample_interval_us = 0;

@@ -428,14 +428,26 @@ bool RvmInstance::AnyNeedsTruncationLocked() const {
 
 void RvmInstance::TruncationThreadMain() {
   std::unique_lock<std::mutex> lock(state_mu_);
+  // Set when the last pass completed no truncation (e.g. the head page is
+  // write-blocked by an open transaction). The next wait then releases the
+  // state lock until a notification or the timeout even though a log is
+  // still past its threshold: re-checking the predicate at once would keep
+  // the lock forever and starve the very commit that unblocks the head. A
+  // spurious wakeup costs one more pass, so that wait needs no predicate.
+  bool stalled = false;
   while (!stop_truncation_) {
-    truncation_cv_.wait_for(lock, std::chrono::milliseconds(100), [this] {
-      return stop_truncation_ || AnyNeedsTruncationLocked();
-    });
+    if (stalled) {
+      truncation_cv_.wait_for(lock, std::chrono::milliseconds(100));
+    } else {
+      truncation_cv_.wait_for(lock, std::chrono::milliseconds(100), [this] {
+        return stop_truncation_ || AnyNeedsTruncationLocked();
+      });
+    }
     if (stop_truncation_) {
       return;
     }
     if (poisoned()) {
+      stalled = true;
       continue;  // fail-stop: no further maintenance I/O
     }
     // Incremental steps are bounded, so the lock is released between bursts
@@ -443,6 +455,7 @@ void RvmInstance::TruncationThreadMain() {
     // processing" discipline. Epoch truncation (when configured or as the
     // §5.1.2 fallback) holds the lock for the full pass. Shards truncate
     // independently: only the ones past threshold pay anything.
+    const uint64_t completed_before = stats_.truncations_completed.load();
     for (const auto& shard : shards_) {
       if (stop_truncation_ || !NeedsTruncationLocked(*shard)) {
         continue;
@@ -461,6 +474,7 @@ void RvmInstance::TruncationThreadMain() {
                       shard->index, status.ToString().c_str());
       }
     }
+    stalled = stats_.truncations_completed.load() == completed_before;
   }
 }
 
@@ -2083,12 +2097,6 @@ RvmGauges RvmInstance::IntrospectLocked() {
   gauges.open_transactions = transactions_.size();
   gauges.truncations_in_flight = SaturatingSub(
       stats_.truncations_started.load(), stats_.truncations_completed.load());
-  gauges.poisoned = poisoned() ? 1 : 0;
-  gauges.pages_scrubbed = stats_.pages_scrubbed.load();
-  gauges.checksum_mismatches = stats_.checksum_mismatches.load();
-  gauges.pages_repaired = stats_.pages_repaired.load();
-  gauges.pages_quarantined = stats_.pages_quarantined.load();
-  gauges.slow_commits = stats_.slow_commits.load();
   if (spans_ != nullptr) {
     gauges.spans_recorded = spans_->recorded();
     gauges.spans_dropped = spans_->dropped();
@@ -2115,8 +2123,6 @@ RvmGauges RvmInstance::IntrospectLocked() {
   for (const auto& [base, region] : regions_) {
     RegionGauges rg;
     rg.segment_path = region->segment_path;
-    rg.segment_offset = region->segment_offset;
-    rg.length = region->length;
     rg.num_pages = region->pages.num_pages();
     rg.active_transactions = region->active_transactions;
     for (uint64_t page = 0; page < rg.num_pages; ++page) {
@@ -2144,7 +2150,7 @@ TimeseriesSample RvmInstance::TakeTimeseriesSample() {
   // transitions back into the flight recorder is safe.
   if (slo_ != nullptr) {
     for (const SloTransition& transition :
-         slo_->Evaluate(gauges.timestamp_us, SloSignals(gauges))) {
+         slo_->Evaluate(gauges.timestamp_us, SloSignals(stats, gauges))) {
       Trace(transition.firing ? TraceEventType::kSloFiring
                               : TraceEventType::kSloResolved,
             transition.rule_index,

@@ -191,7 +191,7 @@ class RvmInstance {
   // and deterministic-test runs build a time series.
   void SampleNow();
 
-  // Writes the sampler ring as an rvm-timeseries-v2 JSONL document to
+  // Writes the sampler ring as an rvm-timeseries-v3 JSONL document to
   // `path`. kFailedPrecondition when sampling is disabled or no samples have
   // been recorded. Terminate writes the same document to
   // "<log_path>.timeseries.jsonl" automatically; poison does so best-effort.

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -92,6 +93,7 @@ class UpdateSeq {
   }
   void Bump() { value_.fetch_add(1, std::memory_order_acq_rel); }
   uint64_t Load() const { return value_.load(std::memory_order_acquire); }
+  void Store(uint64_t value) { value_.store(value, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> value_{0};
@@ -212,18 +214,20 @@ struct RvmStatistics {
   // Writers bracket every related multi-field update with MultiFieldUpdate,
   // which bumps updates_begun_ before the first store and updates_done_
   // after the last. A reader copies the struct only while the two counters
-  // agree and re-checks them afterwards: if either moved, the copy may mix
-  // fields from before and after an update cluster and is retried.
+  // agree and re-checks them afterwards, behind an acquire fence so no
+  // counter load of the copy can drift past the re-check: if either moved,
+  // the copy may mix fields from before and after an update cluster and is
+  // retried.
   //
   // Works with any number of concurrent writers (unlike a parity seqlock:
   // begun/done stay equal only when no writer is mid-cluster). The retry
   // loop is bounded — under sustained write pressure (e.g. a commit storm)
-  // the last copy is returned anyway, degrading to the old per-field-atomic
-  // behavior rather than livelocking a monitoring reader. Counters not
-  // inside any cluster still land at whatever instant the copy read them;
-  // the clusters cover the derivations display code actually performs
-  // (group-commit saved forces, truncation in-flight window, Table 2 byte
-  // accounting).
+  // the last copy is returned anyway rather than livelocking a monitoring
+  // reader, and that copy is marked torn (updates_in_flight() != 0) so a
+  // caller can tell it from a clean one. Counters not inside any cluster
+  // still land at whatever instant the copy read them; the clusters cover
+  // the derivations display code actually performs (group-commit saved
+  // forces, truncation in-flight window, Table 2 byte accounting).
   RvmStatistics Snapshot() const {
     static constexpr int kMaxRetries = 16;
     RvmStatistics copy;
@@ -231,10 +235,16 @@ struct RvmStatistics {
       const uint64_t done = updates_done_.Load();
       const uint64_t begun = updates_begun_.Load();
       copy = *this;
+      std::atomic_thread_fence(std::memory_order_acquire);
       const bool clean = begun == done && updates_begun_.Load() == begun &&
                          updates_done_.Load() == done;
-      if (clean || attempt + 1 >= kMaxRetries) {
-        return copy;  // clean, or the bounded-degradation fallback
+      if (clean) {
+        return copy;
+      }
+      if (attempt + 1 >= kMaxRetries) {
+        // The bounded-degradation fallback, marked torn.
+        copy.updates_begun_.Store(copy.updates_done_.Load() + 1);
+        return copy;
       }
     }
   }
@@ -330,6 +340,9 @@ class MultiFieldUpdate {
  public:
   explicit MultiFieldUpdate(RvmStatistics& stats) : stats_(stats) {
     stats_.updates_begun_.Bump();
+    // Orders the bump before the cluster's counter stores: a reader whose
+    // copy saw one of those stores then sees the bump on its re-check.
+    std::atomic_thread_fence(std::memory_order_release);
   }
   ~MultiFieldUpdate() { stats_.updates_done_.Bump(); }
   MultiFieldUpdate(const MultiFieldUpdate&) = delete;
@@ -371,48 +384,39 @@ inline std::string HistogramJson(const LatencyHistogram::Snapshot& s) {
   return out;
 }
 
-// The counters alone as one flat JSON object — the "counters" member of an
-// rvm-timeseries-v2 sample line, where per-sample histograms would bloat
-// the document without adding signal (the histograms are cumulative; the
-// final telemetry document carries them once).
-inline std::string StatisticsCountersJson(const RvmStatistics& stats) {
+// The counters as one flat JSON object — the "counters" member of an
+// rvm-timeseries-v3 sample line (where per-sample histograms would bloat the
+// document without adding signal: they are cumulative, and the final
+// telemetry document carries them once) and of every telemetry run.
+// `extra_counters` lets a caller append run-specific measurements (e.g. a
+// benchmark's wall-clock) after the RVM counters.
+inline std::string StatisticsCountersJson(
+    const RvmStatistics& stats,
+    const std::vector<std::pair<std::string, uint64_t>>& extra_counters = {}) {
   std::string out = "{";
   bool first = true;
-  stats.ForEachCounter([&](const char* name, uint64_t value) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s\"%s\":%llu", first ? "" : ",", name,
-                  static_cast<unsigned long long>(value));
-    out += buf;
+  auto append = [&](std::string_view name, uint64_t value) {
+    out += (first ? "\"" : ",\"") + JsonEscape(name) +
+           "\":" + std::to_string(value);
     first = false;
-  });
+  };
+  stats.ForEachCounter(append);
+  for (const auto& [name, value] : extra_counters) {
+    append(name, value);
+  }
   out += "}";
   return out;
 }
 
 // One run object ({"name": ..., "counters": {...}, "histograms": {...}}) for
-// the telemetry schema. `extra_counters` lets a caller append run-specific
-// measurements (e.g. a benchmark's wall-clock) next to the RVM counters.
+// the telemetry schema.
 inline std::string StatisticsJsonRun(
     const std::string& name, const RvmStatistics& stats,
     const std::vector<std::pair<std::string, uint64_t>>& extra_counters = {}) {
-  std::string out = "{\"name\":\"" + JsonEscape(name) + "\",\"counters\":{";
+  std::string out = "{\"name\":\"" + JsonEscape(name) + "\",\"counters\":" +
+                    StatisticsCountersJson(stats, extra_counters) +
+                    ",\"histograms\":{";
   bool first = true;
-  stats.ForEachCounter([&](const char* counter_name, uint64_t value) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s\"%s\":%llu", first ? "" : ",",
-                  counter_name, static_cast<unsigned long long>(value));
-    out += buf;
-    first = false;
-  });
-  for (const auto& [extra_name, value] : extra_counters) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(value));
-    out += (first ? "\"" : ",\"") + JsonEscape(extra_name) + "\":" + buf;
-    first = false;
-  }
-  out += "},\"histograms\":{";
-  first = true;
   stats.ForEachHistogram([&](const char* hist_name,
                              const LatencyHistogram& histogram) {
     out += (first ? "\"" : ",\"") + std::string(hist_name) +
@@ -447,77 +451,24 @@ inline std::string TelemetryJsonDocument(const std::string& source,
   return out;
 }
 
-// Human-readable rendering, shared by `rvmutl ... stats` and benchmarks.
+// Human-readable rendering for `rvmutl LOG stats`: one row per counter and
+// one per histogram, under their telemetry names.
 inline std::string FormatStatistics(const RvmStatistics& stats) {
   char line[160];
   std::string out;
-  auto row = [&](const char* name, uint64_t value) {
-    std::snprintf(line, sizeof(line), "%-28s %12llu\n", name,
+  stats.ForEachCounter([&](const char* name, uint64_t value) {
+    std::snprintf(line, sizeof(line), "%-30s %12llu\n", name,
                   static_cast<unsigned long long>(value));
     out += line;
-  };
-  auto frow = [&](const char* name, double value) {
-    std::snprintf(line, sizeof(line), "%-28s %12.1f\n", name, value);
-    out += line;
-  };
-  row("transactions committed:", stats.transactions_committed);
-  row("transactions aborted:", stats.transactions_aborted);
-  row("flush commits:", stats.flush_commits);
-  row("no-flush commits:", stats.no_flush_commits);
-  row("set_range calls:", stats.set_range_calls);
-  row("bytes requested:", stats.bytes_requested);
-  row("bytes logged:", stats.bytes_logged);
-  row("intra-txn bytes saved:", stats.intra_saved_bytes);
-  row("inter-txn bytes saved:", stats.inter_saved_bytes);
-  row("log forces:", stats.log_forces);
-  row("log flush calls:", stats.log_flush_calls);
-  row("group commit batches:", stats.group_commit_batches);
-  row("slow commits:", stats.slow_commits);
-  row("group commit batched txns:", stats.group_commit_batched_txns);
-  row("group commit saved forces:", stats.group_commit_saved_forces());
-  row("cross-shard 2pc commits:", stats.cross_shard_commits_started);
-  row("cross-shard 2pc decided:", stats.cross_shard_commits_decided);
-  const LatencyHistogram::Snapshot commit =
-      stats.commit_latency_us.TakeSnapshot();
-  row("commit latency samples:", commit.count);
-  frow("commit latency mean us:", commit.Mean());
-  row("commit latency min us:", commit.min);
-  frow("commit latency p50 us:", commit.Percentile(50));
-  frow("commit latency p90 us:", commit.Percentile(90));
-  frow("commit latency p99 us:", commit.Percentile(99));
-  row("commit latency max us:", commit.max);
-  row("truncations started:", stats.truncations_started);
-  row("truncations completed:", stats.truncations_completed);
-  row("epoch truncations:", stats.epoch_truncations);
-  row("incremental steps:", stats.incremental_steps);
-  row("incremental pages written:", stats.incremental_pages_written);
-  row("truncation records applied:", stats.truncation_records_applied);
-  row("truncation bytes applied:", stats.truncation_bytes_applied);
-  row("recovery records applied:", stats.recovery_records_applied);
-  row("recovery bytes applied:", stats.recovery_bytes_applied);
-  row("io errors:", stats.io_errors);
-  row("swallowed truncation fails:", stats.swallowed_truncation_failures);
-  row("log-full retries:", stats.log_full_retries);
-  row("poisoned:", stats.poisoned);
-  row("io retries:", stats.io_retries);
-  row("shard quarantines:", stats.shard_quarantines);
-  row("shard repairs started:", stats.shard_repairs_started);
-  row("shard repairs completed:", stats.shard_repairs_completed);
-  row("pages scrubbed:", stats.pages_scrubbed);
-  row("checksum mismatches:", stats.checksum_mismatches);
-  row("pages repaired:", stats.pages_repaired);
-  row("pages quarantined:", stats.pages_quarantined);
-  out += "phase histograms (count mean p50 p99 max, us):\n";
+  });
+  out += "histograms (count mean p50 p90 p99 max, us):\n";
   stats.ForEachHistogram([&](const char* name,
                              const LatencyHistogram& histogram) {
     const LatencyHistogram::Snapshot s = histogram.TakeSnapshot();
-    if (s.count == 0) {
-      return;
-    }
     std::snprintf(line, sizeof(line),
-                  "  %-24s %8llu %10.1f %10.1f %10.1f %10llu\n", name,
+                  "  %-24s %8llu %10.1f %10.1f %10.1f %10.1f %10llu\n", name,
                   static_cast<unsigned long long>(s.count), s.Mean(),
-                  s.Percentile(50), s.Percentile(99),
+                  s.Percentile(50), s.Percentile(90), s.Percentile(99),
                   static_cast<unsigned long long>(s.max));
     out += line;
   });

@@ -396,8 +396,9 @@ Status ValidateTelemetryJson(std::string_view text) {
 namespace {
 
 // Validates one sample line's "gauges" object: flat numbers, plus optional
-// "regions" and "shards" arrays of objects (the latter emitted by
-// multi-shard instances, DESIGN.md §12).
+// "regions" and "shards" row arrays (the latter emitted by multi-shard
+// instances, DESIGN.md §12), each row keyed by `label` ("segment" string or
+// "shard" number) with every other member numeric.
 Status ValidateGauges(const std::string& where, const JsonValue& gauges) {
   if (!gauges.IsObject()) {
     return InvalidArgument(where + " 'gauges' is not an object");
@@ -408,10 +409,23 @@ Status ValidateGauges(const std::string& where, const JsonValue& gauges) {
         return InvalidArgument(where + " 'gauges." + name +
                                "' is not an array");
       }
-      for (const JsonValue& element : value.array) {
-        if (!element.IsObject()) {
+      const bool regions = name == "regions";
+      const char* label = regions ? "segment" : "shard";
+      for (const JsonValue& row : value.array) {
+        if (!row.IsObject()) {
           return InvalidArgument(where + " 'gauges." + name +
                                  "' entry is not an object");
+        }
+        const JsonValue* key = row.Find(label);
+        if (key == nullptr || (regions ? !key->IsString() : !key->IsNumber())) {
+          return InvalidArgument(where + " 'gauges." + name +
+                                 "' entry missing '" + label + "'");
+        }
+        for (const auto& [field, field_value] : row.object) {
+          if (field != label && !field_value.IsNumber()) {
+            return InvalidArgument(where + " 'gauges." + name + "' field '" +
+                                   field + "' is not a number");
+          }
         }
       }
       continue;
@@ -486,6 +500,10 @@ Status ValidateTimeseriesJsonl(std::string_view text) {
         if (!counter.IsNumber()) {
           return InvalidArgument(where + " counter '" + name +
                                  "' is not a number");
+        }
+        if (gauges->Find(name) != nullptr) {
+          return InvalidArgument(where + " '" + name +
+                                 "' is both a gauge and a counter");
         }
       }
     }

@@ -27,17 +27,24 @@
 // allowed; at least one run must carry a "commit_latency_us" histogram so a
 // benchmark trajectory always has the headline distribution to diff.
 //
-// The time-series companion schema ("rvm-timeseries-v2", DESIGN.md §11) is
+// The time-series companion schema ("rvm-timeseries-v3", DESIGN.md §11) is
 // JSONL rather than one document — a header line followed by one sample
 // object per line, so a sampler flush is a pure append:
 //
-//   {"schema": "rvm-timeseries-v2", "source": "...", "sample_interval_us": N}
-//   {"t": <us>, "gauges": {"<gauge>": <number>, ..., "regions": [...]},
+//   {"schema": "rvm-timeseries-v3", "source": "...", "sample_interval_us": N}
+//   {"t": <us>,
+//    "gauges": {"<gauge>": <number>, ...,
+//               "regions": [{"segment": "<path>", "<field>": N, ...}, ...],
+//               "shards": [{"shard": K, "<field>": N, ...}, ...]},
 //    "counters": {"<counter>": <number>, ...}}
 //   ...
 //
 // Sample timestamps must be non-decreasing; "gauges" is required (flat
-// numbers plus the optional per-region array), "counters" is optional.
+// numbers plus the optional per-region and per-shard row arrays), "counters"
+// is optional. A region row is keyed by its string "segment", a shard row by
+// its numeric "shard"; every other row member is a number named as in the
+// row's ForEachField (the rvm_region_* / rvm_shard_* exposition suffixes).
+// No key appears in both "gauges" and "counters".
 //
 // The span schema ("rvm-spans-v1", DESIGN.md §15) is also JSONL — a header
 // line followed by one span per line, ordered by start time:
@@ -62,7 +69,7 @@
 namespace rvm {
 
 inline constexpr char kTelemetrySchemaVersion[] = "rvm-telemetry-v1";
-inline constexpr char kTimeseriesSchemaVersion[] = "rvm-timeseries-v2";
+inline constexpr char kTimeseriesSchemaVersion[] = "rvm-timeseries-v3";
 inline constexpr char kSpansSchemaVersion[] = "rvm-spans-v1";
 
 // Escapes `text` for embedding inside a JSON string literal (quotes not
@@ -95,7 +102,7 @@ StatusOr<JsonValue> ParseJson(std::string_view text);
 // Structural validation of the common telemetry schema described above.
 Status ValidateTelemetryJson(std::string_view text);
 
-// Structural validation of an rvm-timeseries-v2 JSONL document (header line
+// Structural validation of an rvm-timeseries-v3 JSONL document (header line
 // plus at least one sample line, per the layout described above).
 Status ValidateTimeseriesJsonl(std::string_view text);
 

@@ -2,7 +2,7 @@
 // histograms summarize a whole run and the trace ring captures the last few
 // hundred events, the sampler records a bounded ring of periodic state
 // samples — gauges plus counters — and renders them as an
-// "rvm-timeseries-v2" JSONL document (header line + one sample per line;
+// "rvm-timeseries-v3" JSONL document (header line + one sample per line;
 // schema and validator in src/telemetry/json.h).
 //
 // The sampler is deliberately ignorant of RvmInstance (src/telemetry must
@@ -70,7 +70,7 @@ class StatsSampler {
   uint64_t recorded() const;
   uint64_t dropped() const;
 
-  // The full rvm-timeseries-v2 JSONL document: header line followed by one
+  // The full rvm-timeseries-v3 JSONL document: header line followed by one
   // line per retained sample. Touches only the ring (own mutex, no
   // callback), so callable from any lock state — the poison path relies on
   // this.

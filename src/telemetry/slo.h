@@ -1,10 +1,11 @@
 // SloEngine: declarative service-level-objective rules evaluated over the
 // sampled signal stream (DESIGN.md §16). The sampler tick produces one flat
-// map of named signals per sample (every RvmGauges scalar plus the derived
-// commit percentiles); the engine evaluates each rule against it and tracks
-// a firing/resolved state machine per rule. Transitions — not levels — are
-// the output: the caller forwards them to the TraceRecorder, flips /healthz,
-// and embeds the live state in the poison sidecar.
+// map of named signals per sample (every RvmStatistics counter and every
+// RvmGauges scalar, the derived commit percentiles among them); the engine
+// evaluates each rule against it and tracks a firing/resolved state machine
+// per rule. Transitions — not levels — are the output: the caller forwards
+// them to the TraceRecorder, flips /healthz, and embeds the live state in
+// the poison sidecar.
 //
 // Rule grammar (one rule per line; '#' starts a comment):
 //
@@ -26,7 +27,7 @@
 // Evaluation is sample-synchronous and deterministic: the same rule file
 // over the same sample sequence produces the same transition sequence, which
 // is what lets `rvmutl slo --replay` re-run production rules offline against
-// a recorded rvm-timeseries-v2 document.
+// a recorded rvm-timeseries-v3 document.
 //
 // Like the rest of src/telemetry, this file must not depend on src/rvm.
 #ifndef RVM_TELEMETRY_SLO_H_

@@ -128,10 +128,10 @@ TEST(IntegrityTest, ScrubDetectsAtRestCorruptionAndEscalates) {
   volatile uint8_t sink = base[0];
   (void)sink;
   // The damage is on the operator's dashboard.
-  const RvmGauges gauges = rvm->Introspect();
-  EXPECT_EQ(gauges.checksum_mismatches, 1u);
-  EXPECT_EQ(gauges.pages_quarantined, 1u);
-  EXPECT_GT(gauges.pages_scrubbed, 0u);
+  const RvmStatistics stats = rvm->statistics().Snapshot();
+  EXPECT_EQ(stats.checksum_mismatches, 1u);
+  EXPECT_EQ(stats.pages_quarantined, 1u);
+  EXPECT_GT(stats.pages_scrubbed, 0u);
 }
 
 // (a) Detection at map time: with VerifyOnMap::kEager the corruption is
@@ -191,7 +191,7 @@ TEST(IntegrityTest, ScrubRepairsPageFromLiveLogRecords) {
   EXPECT_EQ(report->repaired, 1u);
   EXPECT_EQ(report->quarantined, 0u);
   EXPECT_FALSE(rvm->poisoned());
-  EXPECT_EQ(rvm->Introspect().pages_repaired, 1u);
+  EXPECT_EQ(rvm->statistics().Snapshot().pages_repaired, 1u);
   // The file now holds the newest committed image of page 1.
   EXPECT_EQ(ReadFileByte(env, "/seg", kPage + 5), PatternByte(kPage + 5, 42));
   // A second pass is clean: the sidecar was updated to the repaired image.

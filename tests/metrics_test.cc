@@ -17,6 +17,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +27,9 @@
 #include "src/os/file.h"
 #include "src/os/http.h"
 #include "src/os/mem_env.h"
+#include "src/rvm/exposition.h"
 #include "src/rvm/rvm.h"
+#include "src/telemetry/json.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/slo.h"
 #include "src/util/random.h"
@@ -289,15 +293,103 @@ TEST(SimExpositionTest, ExportedFileMatchesAcrossRunsAndPassesLint) {
   EXPECT_EQ(first.second, second.second);
 }
 
-TEST(SimExpositionTest, NoDuplicateSeriesBetweenCounterAndGaugeMirrors) {
-  // slow_commits / checksum_mismatches / poisoned ride both the counter and
-  // the gauge visitors; the exposition must emit each name exactly once
-  // (as the counter) or the lint rejects the duplicate family.
-  const auto exposition = RunSimExpositionWorkload().first;
-  EXPECT_NE(exposition.find("rvm_slow_commits_total "), std::string::npos);
-  EXPECT_EQ(exposition.find("# TYPE rvm_slow_commits gauge"),
-            std::string::npos);
-  EXPECT_NE(exposition.find("rvm_poisoned_total "), std::string::npos);
+size_t CountOccurrences(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(SimExpositionTest, EachMetricIsDefinedOnce) {
+  // The three visitors name disjoint sets: no gauge mirrors a counter.
+  std::set<std::string> counters;
+  std::set<std::string> gauges;
+  std::set<std::string> histograms;
+  RvmStatistics().ForEachCounter(
+      [&](const char* name, uint64_t) { counters.insert(name); });
+  RvmGauges().ForEachGauge(
+      [&](const char* name, double) { gauges.insert(name); });
+  RvmStatistics().ForEachHistogram(
+      [&](const char* name, const LatencyHistogram&) {
+        histograms.insert(name);
+      });
+  std::set<std::string> all;
+  for (const auto* names : {&counters, &gauges, &histograms}) {
+    for (const std::string& name : *names) {
+      EXPECT_TRUE(all.insert(name).second) << name << " named twice";
+    }
+  }
+
+  // A 4-shard MemEnv workload, so the exposition and the sample carry
+  // per-shard rows too.
+  MemEnv env;
+  ASSERT_TRUE(
+      RvmInstance::CreateLog(&env, "/log", 1 << 20, false, /*shards=*/4).ok());
+  RvmOptions options;
+  options.env = &env;
+  options.log_path = "/log";
+  options.log_shards = 4;
+  options.sample_capacity = 8;
+  auto rvm = RvmInstance::Initialize(options);
+  ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+  std::vector<uint8_t*> bases;
+  for (int r = 0; r < 4; ++r) {
+    RegionDescriptor region;
+    region.segment_path = "/seg" + std::to_string(r);
+    region.length = 4 * kPage;
+    ASSERT_TRUE((*rvm)->Map(region).ok());
+    bases.push_back(static_cast<uint8_t*>(region.address));
+  }
+  for (int i = 0; i < 8; ++i) {
+    Transaction txn(**rvm);
+    ASSERT_TRUE(txn.SetRange(bases[i % 4], 64).ok());
+    bases[i % 4][0] = static_cast<uint8_t>(i);
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  (*rvm)->SampleNow();
+
+  // Once as a `# TYPE rvm_<name>` family.
+  const std::string exposition = (*rvm)->RenderMetrics();
+  EXPECT_TRUE(ValidateOpenMetrics(exposition).ok()) << exposition;
+  for (const std::string& name : all) {
+    EXPECT_EQ(CountOccurrences(exposition, "# TYPE rvm_" + name + " "), 1u)
+        << name;
+  }
+
+  // Once as a key of a time-series sample (counters and gauges; histograms
+  // ride only the final telemetry document).
+  ASSERT_TRUE((*rvm)->DumpTimeseries("/series.jsonl").ok());
+  const std::string series = ReadFileText(&env, "/series.jsonl");
+  ASSERT_TRUE(ValidateTimeseriesJsonl(series).ok()) << series;
+  const size_t last_line = series.rfind('\n', series.size() - 2) + 1;
+  auto sample = ParseJson(std::string_view(series).substr(last_line));
+  ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+  std::map<std::string, int> sample_keys;
+  for (const char* member : {"gauges", "counters"}) {
+    const JsonValue* object = sample->Find(member);
+    ASSERT_NE(object, nullptr) << member;
+    for (const auto& [key, value] : object->object) {
+      if (value.IsNumber()) {
+        ++sample_keys[key];
+      }
+    }
+  }
+  EXPECT_EQ(sample_keys.size(), counters.size() + gauges.size());
+  for (const std::string& name : all) {
+    EXPECT_EQ(sample_keys[name], histograms.count(name) != 0 ? 0 : 1) << name;
+  }
+
+  // Once in the live SLO signal map, which holds nothing else.
+  const std::map<std::string, double> signals =
+      SloSignals((*rvm)->statistics().Snapshot(), (*rvm)->Introspect());
+  EXPECT_EQ(signals.size(), counters.size() + gauges.size());
+  for (const std::string& name : all) {
+    EXPECT_EQ(signals.count(name), histograms.count(name) != 0 ? 0u : 1u)
+        << name;
+  }
+  EXPECT_TRUE((*rvm)->Terminate().ok());
 }
 
 // ---------------------------------------------------------------------------

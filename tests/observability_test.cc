@@ -1,6 +1,6 @@
 // Continuous-observability tests (DESIGN.md §11): RvmGauges/Introspect under
 // load, the seqlock'd statistics snapshot, the StatsSampler ring and its
-// rvm-timeseries-v2 JSONL dumps, and the flush-to-file lifecycle (Terminate,
+// rvm-timeseries-v3 JSONL dumps, and the flush-to-file lifecycle (Terminate,
 // poison, explicit DumpTimeseries).
 #include <gtest/gtest.h>
 
@@ -79,7 +79,7 @@ TEST_F(IntrospectTest, FreshInstanceGaugesAreSane) {
   EXPECT_EQ(gauges.log_reclaimable_bytes, 0u);
   EXPECT_EQ(gauges.page_queue_depth, 0u);
   EXPECT_EQ(gauges.open_transactions, 0u);
-  EXPECT_EQ(gauges.poisoned, 0u);
+  EXPECT_EQ(rvm_->statistics().Snapshot().poisoned, 0u);
   EXPECT_TRUE(gauges.regions.empty());
 }
 
@@ -386,7 +386,7 @@ TEST(TimeseriesLifecycleTest, TerminateFlushesValidTimeseriesFile) {
   Status valid = ValidateTimeseriesJsonl(jsonl);
   EXPECT_TRUE(valid.ok()) << valid.ToString() << "\n" << jsonl;
   // Terminate takes one final sample: 4 manual + 1 final.
-  EXPECT_NE(jsonl.find("\"schema\":\"rvm-timeseries-v2\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"schema\":\"rvm-timeseries-v3\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"log_bytes_in_use\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"transactions_committed\""), std::string::npos);
 }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <sstream>
 #include <string>
 
 #include "src/rvm/rvm.h"
@@ -120,10 +121,11 @@ TEST_F(RvmutlTest, StatsRunsRecoveryAndPrintsCounters) {
   EXPECT_EQ(result.exit_code, 0) << result.output;
   // The workload terminated cleanly (Terminate truncates nothing here; the
   // three committed records are still live), so recovery applies them.
-  EXPECT_NE(result.output.find("recovery records applied:"), std::string::npos)
+  // Rows carry the counter and histogram names of the telemetry schema.
+  EXPECT_NE(result.output.find("recovery_records_applied"), std::string::npos)
       << result.output;
-  EXPECT_NE(result.output.find("group commit batches:"), std::string::npos);
-  EXPECT_NE(result.output.find("commit latency max us:"), std::string::npos);
+  EXPECT_NE(result.output.find("group_commit_batches"), std::string::npos);
+  EXPECT_NE(result.output.find("commit_latency_us"), std::string::npos);
   EXPECT_NE(result.output.find("log in use:"), std::string::npos);
 }
 
@@ -177,24 +179,25 @@ TEST_F(RvmutlTest, TracePrintsRecoveryEvents) {
       << result.output;
 }
 
-TEST_F(RvmutlTest, TopThenTimelineRoundTrip) {
-  // `top` drives its own scratch workload, samples on an interval, and dumps
-  // the ring on Terminate; `timeline` must validate and render that dump.
-  CommandResult top =
-      RunTool("top --duration-ms=600 --interval-ms=100 --threads=2");
-  EXPECT_EQ(top.exit_code, 0) << top.output;
-  EXPECT_NE(top.output.find("committed, refresh"), std::string::npos)
-      << top.output;
+TEST_F(RvmutlTest, WatchThenTimelineRoundTrip) {
+  // `watch` drives its own scratch workload, samples on an interval, and
+  // dumps the ring on Terminate; `timeline` must validate and render that
+  // dump, both as instance aggregates and as one shard's slice.
+  CommandResult watch = RunTool(
+      "watch --duration-ms=600 --interval-ms=100 --threads=2 --shards=4");
+  EXPECT_EQ(watch.exit_code, 0) << watch.output;
+  EXPECT_NE(watch.output.find("committed, refresh"), std::string::npos)
+      << watch.output;
   const std::string marker = "time series dumped to ";
-  size_t at = top.output.find(marker);
-  ASSERT_NE(at, std::string::npos) << top.output;
+  size_t at = watch.output.find(marker);
+  ASSERT_NE(at, std::string::npos) << watch.output;
   at += marker.size();
   const std::string dump_path =
-      top.output.substr(at, top.output.find('\n', at) - at);
+      watch.output.substr(at, watch.output.find('\n', at) - at);
 
   CommandResult timeline = RunTool("timeline " + dump_path);
   EXPECT_EQ(timeline.exit_code, 0) << timeline.output;
-  EXPECT_NE(timeline.output.find("valid rvm-timeseries-v2 document"),
+  EXPECT_NE(timeline.output.find("valid rvm-timeseries-v3 document"),
             std::string::npos)
       << timeline.output;
   // The rendered table: a header row plus one row per sample.
@@ -202,8 +205,20 @@ TEST_F(RvmutlTest, TopThenTimelineRoundTrip) {
       << timeline.output;
   EXPECT_NE(timeline.output.find("committed"), std::string::npos);
 
-  // `top` leaves its scratch directory for exactly this kind of post-mortem;
-  // the test cleans it up.
+  // Shard 1's slice reads the v3 row keys; the shard is mapped a region, so
+  // its records column is nonzero by the final sample.
+  CommandResult shard = RunTool("timeline " + dump_path + " --shard=1");
+  EXPECT_EQ(shard.exit_code, 0) << shard.output;
+  EXPECT_NE(shard.output.find("records"), std::string::npos) << shard.output;
+  const size_t last_row = shard.output.rfind('\n', shard.output.size() - 2);
+  std::istringstream row(shard.output.substr(last_row + 1));
+  double t = 0, util = 0, in_use = 0, pqueue = 0, spool = 0, records = 0;
+  ASSERT_TRUE(row >> t >> util >> in_use >> pqueue >> spool >> records)
+      << shard.output;
+  EXPECT_GT(records, 0) << shard.output;
+
+  // `watch` leaves its scratch directory for exactly this kind of
+  // post-mortem; the test cleans it up.
   std::filesystem::remove_all(std::filesystem::path(dump_path).parent_path());
 }
 
@@ -211,7 +226,7 @@ TEST_F(RvmutlTest, TimelineRejectsInvalidDump) {
   std::string bad_path = (dir_ / "bad.jsonl").string();
   FILE* f = std::fopen(bad_path.c_str(), "w");
   ASSERT_NE(f, nullptr);
-  std::fputs("{\"schema\":\"rvm-timeseries-v2\"}\n", f);  // header missing keys
+  std::fputs("{\"schema\":\"rvm-timeseries-v3\"}\n", f);  // header missing keys
   std::fclose(f);
   CommandResult result = RunTool("timeline " + bad_path);
   EXPECT_EQ(result.exit_code, 1);
@@ -363,7 +378,7 @@ TEST_F(RvmutlTest, HelpListsEveryCommand) {
   // from the help.
   for (const char* command :
        {"status", "segments", "records", "history", "verify", "scrub",
-        "stats", "trace", "health", "repair", "explore", "top", "watch",
+        "stats", "trace", "health", "repair", "explore", "watch",
         "spans", "timeline", "check-json", "check-metrics", "slo"}) {
     EXPECT_NE(result.output.find(command), std::string::npos)
         << "missing '" << command << "' in:\n"
@@ -433,7 +448,7 @@ TEST_F(RvmutlTest, SloReplayReportsTransitionsAndExitCodes) {
   FILE* series = std::fopen(series_path.c_str(), "w");
   ASSERT_NE(series, nullptr);
   std::fputs(
-      "{\"schema\":\"rvm-timeseries-v2\",\"source\":\"test\","
+      "{\"schema\":\"rvm-timeseries-v3\",\"source\":\"test\","
       "\"sample_interval_us\":1000,\"shards\":2}\n"
       "{\"t\":1000,\"gauges\":{\"quarantined_shards\":0}}\n"
       "{\"t\":2000,\"gauges\":{\"quarantined_shards\":1}}\n"
@@ -478,6 +493,65 @@ TEST_F(RvmutlTest, SloReplayReportsTransitionsAndExitCodes) {
 
   // Missing --rules is a usage error.
   EXPECT_EQ(RunTool("slo --replay=" + series_path).exit_code, 2);
+}
+
+TEST_F(RvmutlTest, CounterSignalFiresLiveAndUnderReplay) {
+  // checksum_mismatches is a counter with no gauge twin: a rule on it must
+  // fire in the live engine and again when `slo --replay` re-runs the rule
+  // over the dumped time series. The damage is a page whose newest image is
+  // still in the live log, rotted on disk, so the scrub detects and repairs
+  // it without poisoning the instance.
+  constexpr uint64_t kPage = 4096;
+  const std::string log = (dir_ / "scrub.log").string();
+  const std::string seg = (dir_ / "scrub.seg").string();
+  ASSERT_TRUE(RvmInstance::CreateLog(GetRealEnv(), log, 1 << 20).ok());
+  RvmOptions options;
+  options.log_path = log;
+  options.sample_capacity = 16;
+  options.slo_rules = "rule mismatch checksum_mismatches >= 1\n";
+  auto rvm = RvmInstance::Initialize(options);
+  ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+  RegionDescriptor region;
+  region.segment_path = seg;
+  region.length = 4 * kPage;
+  ASSERT_TRUE((*rvm)->Map(region).ok());
+  auto* base = static_cast<uint8_t*>(region.address);
+  auto commit = [&](uint64_t offset, uint64_t length, uint8_t value) {
+    Transaction txn(**rvm, RestoreMode::kRestore);
+    ASSERT_TRUE(txn.SetRange(base + offset, length).ok());
+    std::memset(base + offset, value, length);
+    ASSERT_TRUE(txn.Commit(CommitMode::kFlush).ok());
+  };
+  commit(0, 4 * kPage, 0x11);
+  ASSERT_TRUE((*rvm)->Truncate().ok());
+  commit(kPage, kPage, 0x22);  // newer image of page 1, still log-resident
+  (*rvm)->SampleNow();
+  EXPECT_FALSE((*rvm)->slo_firing());
+
+  std::FILE* file = std::fopen(seg.c_str(), "r+b");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fseek(file, kPage + 5, SEEK_SET), 0);
+  std::fputc(0xEE, file);
+  std::fclose(file);
+  auto report = (*rvm)->ScrubRegion(base);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->mismatches, 1u);
+  EXPECT_EQ(report->repaired, 1u);
+  (*rvm)->SampleNow();
+  EXPECT_TRUE((*rvm)->slo_firing());
+  const std::string series = (dir_ / "scrub.jsonl").string();
+  ASSERT_TRUE((*rvm)->DumpTimeseries(series).ok());
+  ASSERT_TRUE((*rvm)->Terminate().ok());
+
+  const std::string rules = (dir_ / "mismatch.slo").string();
+  std::FILE* rules_file = std::fopen(rules.c_str(), "w");
+  ASSERT_NE(rules_file, nullptr);
+  std::fputs(options.slo_rules.c_str(), rules_file);
+  std::fclose(rules_file);
+  CommandResult replay = RunTool("slo --rules=" + rules + " --replay=" +
+                                 series + " --expect-firing=mismatch");
+  EXPECT_EQ(replay.exit_code, 0) << replay.output;
+  EXPECT_NE(replay.output.find("FIRING"), std::string::npos) << replay.output;
 }
 
 }  // namespace

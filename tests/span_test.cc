@@ -355,7 +355,6 @@ TEST(RvmSpanTest, SlowCommitOutlierIsRecordedUnconditionally) {
   // A flush commit on the simulated disk takes milliseconds, far past the
   // 1 µs threshold: it must be counted and its whole tree retained.
   EXPECT_EQ((*rvm)->statistics().Snapshot().slow_commits, 1u);
-  EXPECT_EQ((*rvm)->Introspect().slow_commits, 1u);
   std::vector<std::vector<Span>> outliers = (*rvm)->SlowCommitSpans();
   ASSERT_EQ(outliers.size(), 1u);
   bool saw_root = false;

@@ -308,7 +308,7 @@ TEST(JsonTest, ValidatorRejectsSchemaViolations) {
 
 TEST(JsonTest, ValidatesTimeseriesDocument) {
   const std::string header =
-      "{\"schema\":\"rvm-timeseries-v2\",\"source\":\"t\","
+      "{\"schema\":\"rvm-timeseries-v3\",\"source\":\"t\","
       "\"sample_interval_us\":0}\n";
   std::string doc = header +
                     "{\"t\":10,\"gauges\":{\"log_bytes_in_use\":5},"
@@ -325,7 +325,7 @@ TEST(JsonTest, ValidatesTimeseriesDocument) {
 
 TEST(JsonTest, TimeseriesValidatorRejectsSchemaViolations) {
   const std::string header =
-      "{\"schema\":\"rvm-timeseries-v2\",\"source\":\"t\","
+      "{\"schema\":\"rvm-timeseries-v3\",\"source\":\"t\","
       "\"sample_interval_us\":0}\n";
   const std::string sample = "{\"t\":10,\"gauges\":{}}\n";
 
@@ -343,12 +343,12 @@ TEST(JsonTest, TimeseriesValidatorRejectsSchemaViolations) {
   EXPECT_FALSE(ValidateTimeseriesJsonl(sample + sample).ok());
   // Header missing source / interval.
   EXPECT_FALSE(ValidateTimeseriesJsonl(
-                   "{\"schema\":\"rvm-timeseries-v2\","
+                   "{\"schema\":\"rvm-timeseries-v3\","
                    "\"sample_interval_us\":0}\n" +
                    sample)
                    .ok());
   EXPECT_FALSE(ValidateTimeseriesJsonl(
-                   "{\"schema\":\"rvm-timeseries-v2\",\"source\":\"t\"}\n" +
+                   "{\"schema\":\"rvm-timeseries-v3\",\"source\":\"t\"}\n" +
                    sample)
                    .ok());
   // Sample missing its timestamp or gauges.
@@ -369,6 +369,29 @@ TEST(JsonTest, TimeseriesValidatorRejectsSchemaViolations) {
                    header +
                    "{\"t\":10,\"gauges\":{},\"counters\":{\"c\":\"y\"}}\n")
                    .ok());
+  // v3 rows: a shard row keyed by its number, a region row by its segment,
+  // every other member numeric; and no name is both a gauge and a counter.
+  EXPECT_TRUE(ValidateTimeseriesJsonl(
+                  header +
+                  "{\"t\":10,\"gauges\":{\"shards\":[{\"shard\":1,"
+                  "\"forces\":2}],\"regions\":[{\"segment\":\"/s\","
+                  "\"pages\":4}]}}\n")
+                  .ok());
+  EXPECT_FALSE(ValidateTimeseriesJsonl(
+                   header +
+                   "{\"t\":10,\"gauges\":{\"shards\":[{\"forces\":2}]}}\n")
+                   .ok());
+  EXPECT_FALSE(ValidateTimeseriesJsonl(
+                   header +
+                   "{\"t\":10,\"gauges\":{\"regions\":[{\"segment\":\"/s\","
+                   "\"pages\":\"4\"}]}}\n")
+                   .ok());
+  Status duplicate = ValidateTimeseriesJsonl(
+      header +
+      "{\"t\":10,\"gauges\":{\"poisoned\":0},\"counters\":{\"poisoned\":0}}\n");
+  ASSERT_FALSE(duplicate.ok());
+  EXPECT_NE(duplicate.message().find("both a gauge and a counter"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

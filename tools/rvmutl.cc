@@ -6,47 +6,9 @@
 // build a post-mortem tool to search and display the history of
 // modifications recorded by the log." This is that tool.
 //
-//   rvmutl LOG status                      show the status block
-//   rvmutl LOG segments                    list the segment dictionary
-//   rvmutl LOG records [N]                 list the newest N live records
-//   rvmutl LOG history SEG OFFSET LEN      modification history of a range
-//   rvmutl LOG verify [--segments]         structural check of the live log
-//                                          (+ salvage report when corrupt;
-//                                          exit 3 if committed data is lost;
-//                                          --segments adds the data-segment
-//                                          checksum leg, DESIGN.md §14)
-//   rvmutl LOG scrub                       recovery + full data-segment
-//                                          scrub: verify, repair from the
-//                                          log, quarantine the rest
-//   rvmutl LOG health                      offline per-shard fault-domain
-//                                          probe (DESIGN.md §13); exit code
-//                                          tracks the worst shard
-//   rvmutl LOG repair                      offline shard repair: recovery
-//                                          over healed shard files + sidecar
-//                                          cleanup
-//   rvmutl explore [options]               crash-schedule exploration of the
-//                                          reference workload (src/check/);
-//                                          --replay=STRING re-runs one
-//                                          schedule deterministically
-//   rvmutl top [options]                   live gauge monitor (DESIGN.md §11)
-//   rvmutl watch [options]                 live OpenMetrics monitor over a
-//                                          scratch workload (DESIGN.md §16);
-//                                          --port=N serves real /metrics and
-//                                          /healthz endpoints, --rules=FILE
-//                                          arms the SLO engine
-//   rvmutl timeline FILE [--shard=K]       validate/render a time-series dump
-//   rvmutl spans [options]                 span-traced scratch workload +
-//                                          rvm-spans-v1 / Chrome trace export
-//                                          (DESIGN.md §15)
-//   rvmutl check-json FILE                 validate a telemetry document
-//                                          against the schema it declares
-//                                          (dispatched via the registry)
-//   rvmutl check-metrics FILE              lint an OpenMetrics exposition
-//   rvmutl slo --rules=F [--replay=F]      parse SLO rules / re-run them over
-//                                          a recorded time series offline
-//
-// `rvmutl --help` renders the usage text from the same dispatch table Main()
-// routes on, so the help cannot drift from the commands that actually exist.
+// The commands and their options are listed once, in the kCommands table
+// below: `rvmutl --help` renders the usage text from the same dispatch table
+// Main() routes on, so the help cannot drift from the commands that exist.
 #include <unistd.h>
 
 #include <algorithm>
@@ -472,12 +434,11 @@ int CmdStats(const std::string& log_path, int argc, char** argv) {
   // Per-shard rows (multi-shard logs only): the aggregate counters above sum
   // across shards; these show how the load actually striped.
   for (const ShardGauges& shard : gauges.shards) {
-    std::printf("shard %-2" PRIu64 "                  %" PRIu64 " / %" PRIu64
-                " bytes, %" PRIu64 " records, %" PRIu64 " forces, %" PRIu64
-                " prepares, %" PRIu64 " truncations\n",
-                shard.index, shard.log_bytes_in_use, shard.log_capacity,
-                shard.records_appended, shard.forces, shard.prepares,
-                shard.truncations);
+    std::printf("shard %" PRIu64 ":", shard.index);
+    shard.ForEachField([](const char* name, uint64_t value) {
+      std::printf(" %s=%" PRIu64, name, value);
+    });
+    std::printf("\n");
   }
   return 0;
 }
@@ -584,7 +545,7 @@ int CmdCheckMetrics(const std::string& path) {
   return 0;
 }
 
-// `rvmutl timeline FILE [--shard=K]`: validate an rvm-timeseries-v2 dump and
+// `rvmutl timeline FILE [--shard=K]`: validate an rvm-timeseries-v3 dump and
 // render it as a table, one row per sample. With --shard=K the row shows
 // shard K's slice of each sample (its "shards" array entry) instead of the
 // instance aggregates. Exit codes match check-json: 0 valid, 1 invalid,
@@ -691,13 +652,14 @@ int CmdTimeline(const std::string& path, int argc, char** argv) {
         const JsonValue* value = row->Find(name);
         return value != nullptr && value->IsNumber() ? value->number : 0;
       };
-      const double capacity = field("capacity");
-      const double in_use = field("bytes_in_use");
+      const double capacity = field("log_capacity");
+      const double in_use = field("log_bytes_in_use");
       std::printf("%10.1f %7.1f %12.0f %7.0f %7.0f %9.0f %7.0f %11.0f\n",
                   (t - t0) / 1000.0,
                   capacity > 0 ? in_use / capacity * 100.0 : 0.0, in_use,
-                  field("page_queue"), field("spool_entries"),
-                  field("records"), field("forces"), field("truncations"));
+                  field("page_queue_depth"), field("spool_entries"),
+                  field("records_appended"), field("forces"),
+                  field("truncations"));
       continue;
     }
     std::printf("%10.1f %7.1f %12.0f %12.0f %7.0f %7.0f %7.0f %10.0f %8.0f\n",
@@ -708,7 +670,7 @@ int CmdTimeline(const std::string& path, int argc, char** argv) {
                 gauge(*sample, "spool_entries"),
                 gauge(*sample, "open_transactions"),
                 counter(*sample, "transactions_committed"),
-                gauge(*sample, "poisoned"));
+                counter(*sample, "poisoned"));
   }
   if (shard_filter && shard_rows == 0) {
     std::fprintf(stderr,
@@ -720,9 +682,9 @@ int CmdTimeline(const std::string& path, int argc, char** argv) {
   return 0;
 }
 
-// Shared scratch-workload plumbing for the self-contained monitors (`top`
-// and `watch`). Two processes cannot share one RvmInstance, so these
-// commands drive their own: a deliberately small log in a fresh temp dir
+// Scratch-workload plumbing for the self-contained monitor (`watch`). Two
+// processes cannot share one RvmInstance, so the monitor drives its own: a
+// deliberately small log in a fresh temp dir
 // (truncation stays busy, so the head/queue/utilization gauges visibly move
 // between refreshes), one 64-page region per worker, and a truncation-heavy
 // commit loop — mostly no-flush commits keep the spool gauge nonzero, every
@@ -752,13 +714,12 @@ struct ScratchWorkload {
 
 // Creates the scratch log, opens the instance with the caller's
 // observability knobs (sampler cadence, HTTP port, SLO rules —
-// log_path/log_shards are filled in here, and `export_metrics` points
-// metrics_export_path at <log>.metrics so the sampler tick rewrites the
-// file exposition atomically), maps the regions and launches the workers.
-// Prints the failure and returns nonzero on error.
+// log_path/log_shards are filled in here, and metrics_export_path points at
+// <log>.metrics so the sampler tick rewrites the file exposition
+// atomically), maps the regions and launches the workers. Prints the
+// failure and returns nonzero on error.
 int StartScratchWorkload(unsigned threads, uint32_t shards, RvmOptions options,
-                         bool export_metrics, RestoreMode restore_mode,
-                         ScratchWorkload* scratch) {
+                         RestoreMode restore_mode, ScratchWorkload* scratch) {
   char dir_template[] = "/tmp/rvmutl_scratch_XXXXXX";
   char* dir = ::mkdtemp(dir_template);
   if (dir == nullptr) {
@@ -777,9 +738,7 @@ int StartScratchWorkload(unsigned threads, uint32_t shards, RvmOptions options,
   }
   options.log_path = scratch->log_path;
   options.log_shards = shards;
-  if (export_metrics) {
-    options.metrics_export_path = scratch->log_path + ".metrics";
-  }
+  options.metrics_export_path = scratch->log_path + ".metrics";
   auto rvm = RvmInstance::Initialize(options);
   if (!rvm.ok()) {
     std::fprintf(stderr, "init: %s\n", rvm.status().ToString().c_str());
@@ -825,79 +784,10 @@ int StartScratchWorkload(unsigned threads, uint32_t shards, RvmOptions options,
   return 0;
 }
 
-// `rvmutl top`: drive a live workload against a scratch instance and
-// periodically render its gauges — the operator's view of §5's log-space
-// quantities moving.
-int CmdTop(int argc, char** argv) {
-  uint64_t duration_ms = 3000;
-  uint64_t interval_ms = 250;
-  unsigned threads = 2;
-  uint32_t shards = 1;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--duration-ms=", 0) == 0) {
-      duration_ms = std::stoull(arg.substr(std::strlen("--duration-ms=")));
-    } else if (arg.rfind("--interval-ms=", 0) == 0) {
-      interval_ms = std::stoull(arg.substr(std::strlen("--interval-ms=")));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<unsigned>(
-          std::stoul(arg.substr(std::strlen("--threads="))));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = static_cast<uint32_t>(
-          std::stoul(arg.substr(std::strlen("--shards="))));
-    } else {
-      std::fprintf(stderr, "unknown top option: %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (interval_ms == 0 || threads == 0 || shards == 0) {
-    std::fprintf(stderr, "top: interval, threads and shards must be nonzero\n");
-    return 2;
-  }
-
-  ScratchWorkload scratch;
-  RvmOptions options;
-  options.sample_capacity = 4096;
-  options.sample_interval_us = interval_ms * 1000;
-  if (int started = StartScratchWorkload(threads, shards, std::move(options),
-                                         /*export_metrics=*/false,
-                                         RestoreMode::kNoRestore, &scratch);
-      started != 0) {
-    return started;
-  }
-
-  Env* env = GetRealEnv();
-  const uint64_t start_us = env->NowMicros();
-  const bool tty = ::isatty(::fileno(stdout)) != 0;
-  uint64_t refreshes = 0;
-  while (env->NowMicros() - start_us < duration_ms * 1000) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    const RvmGauges gauges = scratch.rvm->Introspect();
-    if (tty) {
-      std::printf("\033[2J\033[H");  // clear screen, home cursor
-    }
-    std::printf("rvmutl top — %llu committed, refresh %llu (every %llu ms)\n",
-                static_cast<unsigned long long>(scratch.committed.load()),
-                static_cast<unsigned long long>(++refreshes),
-                static_cast<unsigned long long>(interval_ms));
-    std::printf("%s", FormatGauges(gauges).c_str());
-    std::fflush(stdout);
-  }
-
-  scratch.StopWorkers();
-  Status terminated = scratch.rvm->Terminate();
-  if (!terminated.ok()) {
-    std::fprintf(stderr, "terminate: %s\n", terminated.ToString().c_str());
-    return 1;
-  }
-  std::printf("\ntime series dumped to %s.timeseries.jsonl\n",
-              scratch.log_path.c_str());
-  return 0;
-}
-
-// `rvmutl watch`: the OpenMetrics twin of `top` — same scratch workload,
-// but each refresh renders the instance's live /metrics exposition
-// (DESIGN.md §16) and /healthz verdict instead of the gauge table. With
+// `rvmutl watch`: drive a live workload against a scratch instance and
+// repaint its /metrics exposition (DESIGN.md §16) — every counter, gauge
+// and per-shard/per-region series — plus the /healthz verdict on each
+// refresh; Terminate leaves a time-series dump for `timeline`. With
 // --port=N the instance serves the real HTTP endpoints too (N=0 picks an
 // ephemeral port, printed in the header), so an operator can curl a live
 // /metrics while the workload runs; --rules=FILE arms the SLO engine, and
@@ -998,8 +888,7 @@ int CmdWatch(int argc, char** argv) {
   const RestoreMode restore_mode =
       fault_shard >= 0 ? RestoreMode::kRestore : RestoreMode::kNoRestore;
   if (int started = StartScratchWorkload(threads, shards, std::move(options),
-                                         /*export_metrics=*/true, restore_mode,
-                                         &scratch);
+                                         restore_mode, &scratch);
       started != 0) {
     return started;
   }
@@ -1117,7 +1006,7 @@ int CmdWatch(int argc, char** argv) {
 // `rvmutl slo --rules=FILE [--replay=FILE]`: offline SLO evaluation
 // (DESIGN.md §16). With only --rules the file is parsed and summarized — a
 // config check for CI. With --replay=FILE the rules run over a recorded
-// rvm-timeseries-v2 document exactly as the live engine would have seen the
+// rvm-timeseries-v3 document exactly as the live engine would have seen the
 // samples (same signal names, same cadence), printing every firing/resolved
 // transition. Exit codes: 0 no rule fired (or, with --expect-firing=NAME,
 // NAME fired — the nightly chaos job uses this to assert the quarantine
@@ -1223,13 +1112,19 @@ int CmdSlo(int argc, char** argv) {
       t0 = t->number;
       first = false;
     }
-    // The flat numeric gauge members ARE the live engine's signal map
-    // (SloSignals walks the same names), so replay sees what production
-    // saw; nested members like the per-shard array carry no signals.
+    // The flat numeric gauge and counter members ARE the live engine's
+    // signal map (SloSignals walks the same names), so replay sees what
+    // production saw; nested members like the per-shard array carry no
+    // signals.
     std::map<std::string, double> signals;
-    for (const auto& [key, value] : gauges->object) {
-      if (value.IsNumber()) {
-        signals[key] = value.number;
+    for (const JsonValue* members : {gauges, sample->Find("counters")}) {
+      if (members == nullptr) {
+        continue;
+      }
+      for (const auto& [key, value] : members->object) {
+        if (value.IsNumber()) {
+          signals[key] = value.number;
+        }
       }
     }
     ++samples;
@@ -1415,6 +1310,7 @@ int CmdSpans(int argc, char** argv) {
   }
 
   const RvmGauges gauges = (*rvm)->Introspect();
+  const RvmStatistics stats = (*rvm)->statistics().Snapshot();
   auto jsonl = (*rvm)->DumpSpansJsonl();
   if (!jsonl.ok()) {
     std::fprintf(stderr, "spans: %s\n", jsonl.status().ToString().c_str());
@@ -1443,7 +1339,7 @@ int CmdSpans(int argc, char** argv) {
                "%s%s\n",
                static_cast<unsigned long long>(gauges.spans_recorded),
                static_cast<unsigned long long>(gauges.spans_dropped),
-               static_cast<unsigned long long>(gauges.slow_commits),
+               static_cast<unsigned long long>(stats.slow_commits.load()),
                out_path.empty() ? "" : "; spans: ", out_path.c_str(),
                chrome_path.empty() ? "" : "; chrome trace: ",
                chrome_path.c_str());
@@ -1507,7 +1403,7 @@ void ReadQuarantineSidecar(const std::string& sidecar_path, uint32_t shard,
 //                    restart) should restore it
 //   2  quarantined — the device itself cannot be opened; the fault persists
 // The in-process states `retrying` and `repairing` are transient and only
-// observable through a live instance's gauges (Introspect / `rvmutl top`);
+// observable through a live instance's gauges (Introspect / `rvmutl watch`);
 // an offline probe sees their end state. `--json[=FILE]` emits the
 // rvm-telemetry-v1 schema with a per-shard "shards" array.
 int CmdHealth(const std::string& log_path, int argc, char** argv) {
@@ -2061,10 +1957,6 @@ int RunExplore(const std::string&, int argc, char** argv) {
   return CmdExplore(argc, argv);
 }
 
-int RunTop(const std::string&, int argc, char** argv) {
-  return CmdTop(argc, argv);
-}
-
 int RunWatch(const std::string&, int argc, char** argv) {
   return CmdWatch(argc, argv);
 }
@@ -2157,11 +2049,6 @@ constexpr CommandSpec kCommands[] = {
      "--max-schedules=N --out=FILE -v\n"
      "--replay=STRING (re-run one schedule)",
      RunExplore},
-    {"top", false, "[options]",
-     "live gauge monitor over a scratch workload;\n"
-     "--duration-ms=N --interval-ms=N --threads=N\n"
-     "--shards=N (per-shard gauge rows)",
-     RunTop},
     {"watch", false, "[options]",
      "live OpenMetrics monitor over a scratch\n"
      "workload (DESIGN.md §16); --duration-ms=N\n"
@@ -2180,7 +2067,7 @@ constexpr CommandSpec kCommands[] = {
      "(Chrome trace JSON for Perfetto)",
      RunSpans},
     {"timeline", false, "FILE [--shard=K]",
-     "validate and render an rvm-timeseries-v2 dump\n"
+     "validate and render an rvm-timeseries-v3 dump\n"
      "(exit codes like check-json; --shard=K renders\n"
      "shard K's slice)",
      RunTimeline},
@@ -2195,7 +2082,7 @@ constexpr CommandSpec kCommands[] = {
      RunCheckMetrics},
     {"slo", false, "--rules=FILE [--replay=FILE]",
      "parse SLO rules; with --replay, re-run them\n"
-     "over a recorded rvm-timeseries-v2 document and\n"
+     "over a recorded rvm-timeseries-v3 document and\n"
      "print firing/resolved transitions\n"
      "(--expect-firing=NAME exits 0 iff NAME fired)",
      RunSlo},
