@@ -6,8 +6,11 @@
 // a segment file would be mapped into memory, served to the application, and
 // laundered into "committed" state by the next truncation. The checksum map
 // closes that gap: every segment <path> gains a sidecar <path>.chk recording
-// one CRC32 per page-size block of the segment file, refreshed from the file
-// image whenever truncation or recovery writes committed bytes into it.
+// one CRC32 per page-size block of the segment file, recorded whenever
+// truncation or recovery writes committed bytes into it: from the page image
+// written for whole-page writeback, from the file read back for partial-page
+// log apply. A live instance keeps each map in memory (RvmInstance's shards
+// own them) and saves it after every change.
 //
 // Crash-safety contract: the sidecar is rewritten in full (single WriteAt at
 // offset 0, then Sync) with a footer CRC over the whole body. A torn or

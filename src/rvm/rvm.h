@@ -420,6 +420,10 @@ class RvmInstance {
     uint64_t spool_bytes = 0;
     // Incremental-truncation queue, ordered by log offset (state_mu_).
     std::deque<QueuedPage> page_queue;
+    // Checksum maps of the segments striped to this shard (DESIGN.md §14),
+    // loaded from their "<segment>.chk" sidecars on first use and kept equal
+    // to them by every in-process sidecar writer (log_mu).
+    std::map<SegmentId, SegmentChecksumMap> checksum_maps;
     // True when the live log holds 2PC decision records (state_mu_). A
     // decision may be the only durable evidence that a cross-shard
     // transaction committed — participants' markers are appended unforced —
@@ -675,16 +679,27 @@ class RvmInstance {
   // Segment path for `id` from the shard's mirrored dictionary, falling
   // back to shard 0's (the allocation source of truth).
   StatusOr<std::string> SegmentPathBothLocked(LogShard& shard, SegmentId id);
-  // Recomputes and persists the checksum-map entries for every page of
-  // `file` overlapped by `written` (file-absolute byte intervals), reading
-  // the page images back from the file so the sidecar always describes the
-  // durable bytes. Callers invoke it after the segment writes are synced
-  // and before the log head advances — the ordering the §14 atomicity
-  // argument rests on. No-op when checksums are disabled or nothing was
-  // written.
-  Status RefreshPageChecksumsBothLocked(LogShard& shard, SegmentId id,
-                                        File& file,
-                                        const std::vector<Interval>& written);
+  // The shard-owned checksum map of segment `id` (one of the shard's own
+  // segments), loaded from its sidecar on first use.
+  StatusOr<SegmentChecksumMap*> ChecksumMapBothLocked(LogShard& shard,
+                                                      SegmentId id);
+  // Persists the cached map of segment `id`. A failed save drops the cached
+  // map (the sidecar's durable state is unknown; the next user reloads it)
+  // and fail-stops the shard.
+  Status SaveChecksumMapBothLocked(LogShard& shard, SegmentId id);
+  // Records and persists the checksum-map entries for pages of segment `id`
+  // that a truncation or recovery pass just wrote: `page_crcs` holds CRCs
+  // taken from the exact page images handed to WriteAt (whole-page
+  // incremental writeback); the pages overlapped by `written` (file-absolute
+  // byte intervals of partial-page log apply) are read back from `file`, so
+  // their entries describe the durable bytes. Callers invoke it
+  // after the segment writes are synced and before the log head advances —
+  // the ordering the §14 atomicity argument rests on. No-op when checksums
+  // are disabled or nothing was written.
+  Status RefreshPageChecksumsBothLocked(
+      LogShard& shard, SegmentId id, File& file,
+      const std::vector<Interval>& written,
+      const std::map<uint64_t, uint32_t>& page_crcs);
   // Re-derives the newest committed image of `page` of segment `id` from
   // the shard's live log records (the same newest-record-wins walk
   // ApplyLogToSegmentsBothLocked performs). When live records cover the

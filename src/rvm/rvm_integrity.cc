@@ -2,8 +2,9 @@
 // scrubbing, log-based page repair, and eager verify-on-map.
 //
 // The paper trusts external data segments blindly ("RVM does not provide
-// media recovery", §3.1). This file closes that gap end to end: truncation
-// and recovery refresh a per-page CRC32 sidecar after every segment write
+// media recovery", §3.1). This file closes that gap end to end: each shard
+// keeps the per-page CRC32 map of its segments in memory, truncation and
+// recovery record and persist it after every segment write
 // (RefreshPageChecksumsBothLocked, called from rvm_truncation.cc between the
 // segment syncs and the log-head advance), scrubs verify the segment files
 // against the sidecar in small batches under the staged locks, and a
@@ -23,7 +24,7 @@ namespace rvm {
 
 namespace {
 // Pages verified per lock acquisition in a scrub: large enough to amortize
-// loading the sidecar, small enough that commits blocked behind a batch wait
+// rewriting the sidecar, small enough that commits blocked behind a batch wait
 // for at most ~128 KiB of reads and CRCs.
 constexpr uint64_t kScrubBatchPages = 32;
 }  // namespace
@@ -56,18 +57,47 @@ StatusOr<std::string> RvmInstance::SegmentPathBothLocked(LogShard& shard,
   return NotFound("segment id not in dictionary");
 }
 
-Status RvmInstance::RefreshPageChecksumsBothLocked(
-    LogShard& shard, SegmentId id, File& file,
-    const std::vector<Interval>& written) {
-  if (!checksums_enabled_ || written.empty()) {
+StatusOr<SegmentChecksumMap*> RvmInstance::ChecksumMapBothLocked(
+    LogShard& shard, SegmentId id) {
+  auto it = shard.checksum_maps.find(id);
+  if (it == shard.checksum_maps.end()) {
+    RVM_ASSIGN_OR_RETURN(std::string path, SegmentPathBothLocked(shard, id));
+    it = shard.checksum_maps
+             .emplace(id, SegmentChecksumMap::Load(env_, path, page_size_))
+             .first;
+  }
+  return &it->second;
+}
+
+Status RvmInstance::SaveChecksumMapBothLocked(LogShard& shard, SegmentId id) {
+  auto it = shard.checksum_maps.find(id);
+  if (it == shard.checksum_maps.end()) {
     return OkStatus();
   }
-  RVM_ASSIGN_OR_RETURN(std::string path, SegmentPathBothLocked(shard, id));
-  SegmentChecksumMap chk = SegmentChecksumMap::Load(env_, path, page_size_);
+  Status saved = it->second.Save(env_);
+  if (!saved.ok()) {
+    shard.checksum_maps.erase(it);
+    PoisonShard(shard, saved);
+  }
+  return saved;
+}
+
+Status RvmInstance::RefreshPageChecksumsBothLocked(
+    LogShard& shard, SegmentId id, File& file,
+    const std::vector<Interval>& written,
+    const std::map<uint64_t, uint32_t>& page_crcs) {
+  if (!checksums_enabled_ || (written.empty() && page_crcs.empty())) {
+    return OkStatus();
+  }
+  RVM_ASSIGN_OR_RETURN(SegmentChecksumMap * chk,
+                       ChecksumMapBothLocked(shard, id));
+  for (const auto& [page, crc] : page_crcs) {
+    chk->Set(page, crc);
+  }
   RVM_ASSIGN_OR_RETURN(uint64_t size, file.Size());
-  // Re-read every touched page from the file rather than trusting the
-  // in-memory source: the sidecar must describe the durable bytes, whatever
-  // they are.
+  // Pages written only in part (log apply) are re-read from the file rather
+  // than rebuilt from the in-memory source: the sidecar must describe the
+  // durable bytes, whatever they are.
   std::set<uint64_t> pages;
   for (const Interval& range : written) {
     for (uint64_t page = range.start / page_size_;
@@ -88,10 +118,10 @@ Status RvmInstance::RefreshPageChecksumsBothLocked(
     if (got < len) {
       std::memset(buf.data() + got, 0, len - got);
     }
-    chk.Set(page, Crc32(std::span<const uint8_t>(buf.data(), page_size_)));
+    chk->Set(page, Crc32(std::span<const uint8_t>(buf.data(), page_size_)));
     cpu_.Copy(page_size_);
   }
-  return chk.Save(env_);
+  return SaveChecksumMapBothLocked(shard, id);
 }
 
 StatusOr<bool> RvmInstance::TryRepairPageFromLogBothLocked(
@@ -195,8 +225,8 @@ Status RvmInstance::ScrubSegmentPages(uint32_t shard_index, SegmentId id,
     if (page >= limit) {
       return OkStatus();
     }
-    SegmentChecksumMap chk =
-        SegmentChecksumMap::Load(env_, segment_path, page_size_);
+    RVM_ASSIGN_OR_RETURN(SegmentChecksumMap * chk,
+                         ChecksumMapBothLocked(shard, id));
     const uint64_t batch_end = std::min(limit, page + kScrubBatchPages);
     std::vector<uint8_t> buf(page_size_);
     for (; page < batch_end; ++page) {
@@ -212,12 +242,12 @@ Status RvmInstance::ScrubSegmentPages(uint32_t shard_index, SegmentId id,
       cpu_.Copy(page_size_);
       ++report->pages_scrubbed;
       ++stats_.pages_scrubbed;
-      if (!chk.known(page)) {
+      if (!chk->known(page)) {
         // Trust-on-first-read: adopt the current image as the baseline.
-        chk.Set(page, crc);
+        chk->Set(page, crc);
         continue;
       }
-      if (crc == chk.crc(page)) {
+      if (crc == chk->crc(page)) {
         continue;
       }
       ++report->mismatches;
@@ -225,7 +255,7 @@ Status RvmInstance::ScrubSegmentPages(uint32_t shard_index, SegmentId id,
       Trace(TraceEventType::kChecksumMismatch, id, page);
       RVM_ASSIGN_OR_RETURN(
           bool repaired,
-          TryRepairPageFromLogBothLocked(shard, id, file, page, len, &chk));
+          TryRepairPageFromLogBothLocked(shard, id, file, page, len, chk));
       if (repaired) {
         ++report->repaired;
         continue;
@@ -234,13 +264,13 @@ Status RvmInstance::ScrubSegmentPages(uint32_t shard_index, SegmentId id,
       // still flag the page, persist the batch's baselines, and escalate.
       ++report->quarantined;
       ++stats_.pages_quarantined;
-      RVM_RETURN_IF_ERROR(chk.Save(env_));
+      RVM_RETURN_IF_ERROR(SaveChecksumMapBothLocked(shard, id));
       PoisonShard(shard,
                   Corruption("segment page failed checksum verification: " +
                              segment_path + " page " + std::to_string(page)));
       return OkStatus();  // contained; the report carries the outcome
     }
-    RVM_RETURN_IF_ERROR(chk.Save(env_));
+    RVM_RETURN_IF_ERROR(SaveChecksumMapBothLocked(shard, id));
     if (page >= limit) {
       return OkStatus();
     }
@@ -316,24 +346,25 @@ Status RvmInstance::VerifyRegionOnMapLocked(SegmentId id,
                                             uint64_t length, uint8_t* base) {
   LogShard& shard = ShardFor(id);
   std::lock_guard<std::mutex> log_lock(shard.log_mu);
-  SegmentChecksumMap chk = SegmentChecksumMap::Load(env_, seg_path, page_size_);
+  RVM_ASSIGN_OR_RETURN(SegmentChecksumMap * chk,
+                       ChecksumMapBothLocked(shard, id));
   Status failure = OkStatus();
   for (uint64_t off = 0; off < length && failure.ok(); off += page_size_) {
     const uint64_t page = (segment_offset + off) / page_size_;
-    if (!chk.known(page)) {
+    if (!chk->known(page)) {
       continue;  // baselines come from truncation and scrubs, not Map
     }
     const uint64_t len = std::min(page_size_, length - off);
     ++stats_.pages_scrubbed;
     cpu_.Copy(len);
-    if (Crc32(std::span<const uint8_t>(base + off, len)) == chk.crc(page)) {
+    if (Crc32(std::span<const uint8_t>(base + off, len)) == chk->crc(page)) {
       continue;
     }
     ++stats_.checksum_mismatches;
     Trace(TraceEventType::kChecksumMismatch, id, page);
     RVM_ASSIGN_OR_RETURN(
         bool repaired,
-        TryRepairPageFromLogBothLocked(shard, id, file, page, len, &chk));
+        TryRepairPageFromLogBothLocked(shard, id, file, page, len, chk));
     if (repaired) {
       // The file now holds the repaired image; refresh the in-memory copy
       // that Map just filled from the corrupt bytes.
@@ -347,7 +378,7 @@ Status RvmInstance::VerifyRegionOnMapLocked(SegmentId id,
     failure = Corruption("segment page failed checksum verification at map: " +
                          seg_path + " page " + std::to_string(page));
   }
-  RVM_RETURN_IF_ERROR(chk.Save(env_));
+  RVM_RETURN_IF_ERROR(SaveChecksumMapBothLocked(shard, id));
   if (!failure.ok()) {
     PoisonShard(shard, failure);
     return failure;

@@ -129,7 +129,7 @@ Status RvmInstance::ApplyLogToSegmentsBothLocked(
   // re-checksummed when recovery reruns this procedure (DESIGN.md §14).
   for (auto& [segment, intervals] : written) {
     Status refreshed = RefreshPageChecksumsBothLocked(
-        shard, segment, *files[segment], intervals.ToVector());
+        shard, segment, *files[segment], intervals.ToVector(), {});
     if (!refreshed.ok()) {
       PoisonShard(shard, refreshed);
       return refreshed;
@@ -523,7 +523,10 @@ Status RvmInstance::IncrementalTruncateBothLocked(LogShard& shard,
       static_cast<double>(shard.log->capacity()));
 
   std::set<File*> touched;
-  std::map<SegmentId, IntervalSet> written;
+  // Per segment, the CRC of each page image handed to WriteAt (DESIGN.md
+  // §14): the sidecar records what reached the file without reading it back.
+  std::map<SegmentId, std::map<uint64_t, uint32_t>> page_crcs;
+  std::vector<uint8_t> page_image(page_size_);
   bool advanced = false;
   uint64_t steps = 0;
   uint64_t truncation_start_us = 0;
@@ -544,10 +547,14 @@ Status RvmInstance::IncrementalTruncateBothLocked(LogShard& shard,
       }
       break;
     }
-    // Write the page directly from VM to the external data segment (Fig. 7).
+    // Write the page from VM to the external data segment (Fig. 7). Map
+    // admits only page-aligned, page-multiple regions, so this is one whole
+    // segment page. It goes through a private copy, so the checksum below
+    // covers exactly the bytes written even if the application stores to
+    // the page meanwhile.
     RegionState* region = front.region;
-    uint64_t page_start = front.page * page_size_;
-    uint64_t page_len = std::min(page_size_, region->length - page_start);
+    const uint64_t page_start = front.page * page_size_;
+    const uint64_t file_offset = region->segment_offset + page_start;
     if (!segment_files_.contains(region->segment_id)) {
       RVM_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
                            OpenSegmentBothLocked(shard, region->segment_id));
@@ -562,13 +569,15 @@ Status RvmInstance::IncrementalTruncateBothLocked(LogShard& shard,
       }
     }
     const uint64_t step_start_us = env_->NowMicros();
-    RVM_RETURN_IF_ERROR(
-        file->WriteAt(region->segment_offset + page_start,
-                      std::span<const uint8_t>(region->base + page_start, page_len)));
+    std::memcpy(page_image.data(), region->base + page_start, page_size_);
+    RVM_RETURN_IF_ERROR(file->WriteAt(file_offset, page_image));
     touched.insert(file);
-    written[region->segment_id].Add(region->segment_offset + page_start,
-                                    region->segment_offset + page_start + page_len);
-    cpu_.Copy(page_len);
+    cpu_.Copy(page_size_);
+    if (checksums_enabled_) {
+      page_crcs[region->segment_id][file_offset / page_size_] =
+          Crc32(page_image);
+      cpu_.Copy(page_size_);
+    }
     entry.dirty = false;
     entry.in_queue = false;
     stats_.truncation_step_us.Record(env_->NowMicros() - step_start_us);
@@ -599,9 +608,9 @@ Status RvmInstance::IncrementalTruncateBothLocked(LogShard& shard,
   }
   // Checksum sidecars after the segment syncs, before the head move — the
   // same ordering ApplyLogToSegmentsBothLocked uses (DESIGN.md §14).
-  for (auto& [segment, intervals] : written) {
+  for (const auto& [segment, crcs] : page_crcs) {
     Status refreshed = RefreshPageChecksumsBothLocked(
-        shard, segment, *segment_files_[segment], intervals.ToVector());
+        shard, segment, *segment_files_[segment], {}, crcs);
     if (!refreshed.ok()) {
       PoisonShard(shard, refreshed);
       return refreshed;
@@ -670,6 +679,20 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
   Trace(TraceEventType::kShardRepair, index, 0, index);
 
   Status result = [&]() -> Status {
+    // Phase 2's sibling half runs first: each sibling's log_mu is taken on
+    // its own, never under this shard's, so log locks still nest only in
+    // ascending order (as IntrospectLocked takes them).
+    std::set<TransactionId> sibling_decided;
+    for (const auto& other : shards_) {
+      if (other->index == index) {
+        continue;
+      }
+      std::set<TransactionId> sibling_prepared;
+      std::lock_guard<std::mutex> sibling_lock(other->log_mu);
+      RVM_RETURN_IF_ERROR(CollectShardTidSetsBothLocked(
+          *other, &sibling_prepared, &sibling_decided));
+    }
+
     // Phase 0: a fresh device on the healed file — never the poisoned fd
     // (fsyncgate: its page-cache state is unknown). The old device is
     // dropped on the swap; everything below runs on clean state.
@@ -685,6 +708,8 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
         shards_[0]->log->status().next_segment_id;
     std::lock_guard<std::mutex> log_lock(shard.log_mu);
     shard.log = std::move(healed);
+    // Checksum maps restart from their sidecars too, like a restart would.
+    shard.checksum_maps.clear();
 
     // Phase 1: find the true end of the healed log by forward validity
     // scanning (records appended after the last durable status write, and
@@ -708,18 +733,9 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
       // record hit the file) — and the siblings have already rolled that
       // transaction back.
       std::set<TransactionId> prepared;
-      std::set<TransactionId> decided;
+      std::set<TransactionId> decided = std::move(sibling_decided);
       RVM_RETURN_IF_ERROR(
           CollectShardTidSetsBothLocked(shard, &prepared, &decided));
-      for (const auto& other : shards_) {
-        if (other->index == index) {
-          continue;
-        }
-        std::set<TransactionId> sibling_prepared;
-        std::lock_guard<std::mutex> sibling_lock(other->log_mu);
-        RVM_RETURN_IF_ERROR(CollectShardTidSetsBothLocked(
-            *other, &sibling_prepared, &decided));
-      }
       for (TransactionId tid : aborted_gtids_) {
         decided.erase(tid);
       }
@@ -773,17 +789,17 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
       // applied and emptied, so a mismatch here is unrepairable media
       // corruption and the shard goes back to quarantine.
       if (checksums_enabled_) {
-        SegmentChecksumMap chk = SegmentChecksumMap::Load(
-            env_, region->segment_path, page_size_);
+        RVM_ASSIGN_OR_RETURN(SegmentChecksumMap * chk,
+                             ChecksumMapBothLocked(shard, region->segment_id));
         for (uint64_t off = 0; off < region->length; off += page_size_) {
           const uint64_t page = (region->segment_offset + off) / page_size_;
-          if (!chk.known(page)) {
+          if (!chk->known(page)) {
             continue;
           }
           const uint64_t len = std::min(page_size_, region->length - off);
           ++stats_.pages_scrubbed;
           if (Crc32(std::span<const uint8_t>(region->base + off, len)) !=
-              chk.crc(page)) {
+              chk->crc(page)) {
             ++stats_.checksum_mismatches;
             ++stats_.pages_quarantined;
             Trace(TraceEventType::kChecksumMismatch, region->segment_id, page,

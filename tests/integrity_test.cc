@@ -7,10 +7,12 @@
 // verify-on-map, (b) repaired from live log records when the page's newest
 // committed image is still in the pre-truncation window, and (c) escalated
 // to shard quarantine — fail-fast writes, readable healthy regions —
-// otherwise. Detection scope is at-rest decay and misdirected writes: the
-// sidecar is refreshed by reading segment pages back after apply, so a
-// corrupting fault on the very write being checksummed is adopted as
-// baseline (write-verify is out of scope, like disk-internal ECC vs ZFS
+// otherwise. Detection scope is at-rest decay and misdirected writes, plus
+// corrupting faults on whole-page incremental writeback, whose checksum is
+// taken from the page image handed to the write. Partial-page log apply
+// (epoch truncation, recovery) refreshes the sidecar by reading pages back,
+// so a corrupting fault on one of those writes is adopted as baseline
+// (write-verify is out of scope there, like disk-internal ECC vs ZFS
 // scrub). The sidecar's own crash-safety contract — a torn or corrupted
 // checksum update must never make a good page look bad — is swept here with
 // the FaultInjectionEnv corruption fault classes.
@@ -23,6 +25,7 @@
 #include "src/os/fault_env.h"
 #include "src/os/mem_env.h"
 #include "src/rvm/rvm.h"
+#include "src/util/crc32.h"
 
 namespace rvm {
 namespace {
@@ -316,6 +319,133 @@ TEST(IntegrityTest, SecondaryShardCorruptionQuarantinesAndRepairs) {
   }
   EXPECT_EQ(bases[victim][0], 0x33);
   EXPECT_EQ(bases[healthy][0], 0x22);
+}
+
+// The on-disk sidecar of `path` records every page of the segment file with
+// the CRC of its current, zero-padded bytes.
+void ExpectSidecarDescribesFile(Env& env, const std::string& path) {
+  SegmentChecksumMap chk = SegmentChecksumMap::Load(&env, path, kPage);
+  auto file = env.Open(path, OpenMode::kReadOnly);
+  ASSERT_TRUE(file.ok());
+  const uint64_t size = (*file)->Size().value();
+  ASSERT_GT(size, 0u);
+  for (uint64_t page = 0; page * kPage < size; ++page) {
+    std::vector<uint8_t> image(kPage, 0);
+    ASSERT_TRUE((*file)->ReadAt(page * kPage, image).ok());
+    ASSERT_TRUE(chk.known(page)) << path << " page " << page;
+    EXPECT_EQ(chk.crc(page), Crc32(image)) << path << " page " << page;
+  }
+}
+
+// The shard-owned checksum map (DESIGN.md §14) and the sidecar it is saved
+// to stay equal to the segment across a scrub repair, a RepairShard and a
+// restart.
+TEST(IntegrityTest, CachedChecksumMapStaysCoherentAcrossRepairsAndRestart) {
+  constexpr uint32_t kShards = 4;
+  MemEnv env;
+  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", kLogSize,
+                                     /*overwrite=*/false, kShards)
+                  .ok());
+  auto rvm = OpenInstance(env, kShards);
+  ASSERT_NE(rvm, nullptr);
+  std::vector<uint8_t*> bases;
+  for (uint32_t i = 0; i < kShards; ++i) {
+    bases.push_back(MapRegion(*rvm, "/seg" + std::to_string(i), kPage));
+    ASSERT_NE(bases.back(), nullptr);
+  }
+  const uint32_t target = 2;
+  const size_t victim = RegionOnShard(*rvm, bases, target);
+  const std::string victim_path = "/seg" + std::to_string(victim);
+  ASSERT_TRUE(rvm->Truncate().ok());
+  ExpectSidecarDescribesFile(env, victim_path);
+
+  // Scrub repair: the newest image is log-resident, so the rotted page is
+  // rewritten from the log and the cached map takes the repaired CRC.
+  CommitPattern(*rvm, bases[victim], 0, kPage, /*salt=*/3);
+  CorruptFileByte(env, victim_path, 5);
+  auto report = rvm->ScrubShard(target);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->mismatches, 1u);
+  EXPECT_EQ(report->repaired, 1u);
+  ExpectSidecarDescribesFile(env, victim_path);
+  auto clean = rvm->ScrubShard(target);
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(clean->mismatches, 0u);
+
+  // RepairShard: rot a truncated-away page, quarantine, heal, repair; the
+  // repaired shard's map is reloaded and keeps tracking later truncations.
+  ASSERT_TRUE(rvm->Truncate().ok());
+  ExpectSidecarDescribesFile(env, victim_path);
+  CorruptFileByte(env, victim_path, 9);
+  report = rvm->ScrubShard(target);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->quarantined, 1u);
+  CorruptFileByte(env, victim_path, 9);  // the flip undone: media healed
+  Status repaired = rvm->RepairShard(target);
+  ASSERT_TRUE(repaired.ok()) << repaired.ToString();
+  CommitPattern(*rvm, bases[victim], 0, kPage, /*salt=*/9);
+  ASSERT_TRUE(rvm->Truncate().ok());
+  ExpectSidecarDescribesFile(env, victim_path);
+  clean = rvm->ScrubShard(target);
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(clean->mismatches, 0u);
+
+  // Restart: the sidecars the cached maps were saved to verify every page
+  // at map time.
+  rvm.reset();
+  rvm = OpenInstance(env, kShards, RvmOptions::VerifyOnMap::kEager);
+  ASSERT_NE(rvm, nullptr);
+  for (uint32_t i = 0; i < kShards; ++i) {
+    bases[i] = MapRegion(*rvm, "/seg" + std::to_string(i), kPage);
+    ASSERT_NE(bases[i], nullptr);
+  }
+  ExpectSidecarDescribesFile(env, victim_path);
+  EXPECT_EQ(rvm->statistics().Snapshot().checksum_mismatches, 0u);
+  EXPECT_EQ(bases[victim][kPage - 1], PatternByte(kPage - 1, 9));
+  for (uint32_t shard = 0; shard < kShards; ++shard) {
+    auto pass = rvm->ScrubShard(shard);
+    ASSERT_TRUE(pass.ok());
+    EXPECT_EQ(pass->mismatches, 0u) << "shard " << shard;
+  }
+}
+
+// Whole-page incremental writeback is checked at write time: the sidecar
+// records the CRC of the page image handed to WriteAt, so a write the
+// device silently corrupts is caught by the next scrub instead of being
+// adopted as the page's baseline.
+TEST(IntegrityTest, CorruptedIncrementalWritebackIsCaughtByScrub) {
+  MemEnv mem;
+  ASSERT_TRUE(RvmInstance::CreateLog(&mem, "/log", kLogSize).ok());
+  FaultInjectionEnv env(&mem);
+  RvmOptions options;
+  options.env = &env;
+  options.log_path = "/log";
+  options.runtime.use_incremental_truncation = true;
+  options.runtime.truncation_threshold = 0.5;
+  options.runtime.truncation_target = 0.25;
+  auto rvm = RvmInstance::Initialize(options);
+  ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+  uint8_t* base = MapRegion(**rvm, "/seg");
+  ASSERT_NE(base, nullptr);
+  // Map only resizes the segment file, so its first WriteAt is the first
+  // page incremental truncation writes back.
+  FaultSpec spec;
+  spec.op = FaultOp::kWriteAt;
+  spec.corrupt = CorruptKind::kBitFlip;
+  spec.path_substring = "/seg";
+  env.InjectFault(spec);
+  for (uint64_t i = 0;
+       i < 40 && (*rvm)->statistics().incremental_pages_written == 0; ++i) {
+    CommitPattern(**rvm, base, (i % 4) * kPage, 2048, /*salt=*/i);
+  }
+  ASSERT_GT((*rvm)->statistics().incremental_pages_written, 0u);
+  ASSERT_EQ(env.faults_fired(), 1u);
+
+  auto report = (*rvm)->ScrubRegion(base);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->mismatches, 1u)
+      << "the corrupted writeback was adopted as the page's baseline";
+  EXPECT_EQ(report->repaired + report->quarantined, report->mismatches);
 }
 
 // Acceptance sweep: every page x {bit flip, zeroed page, misdirected page

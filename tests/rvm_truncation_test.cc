@@ -7,6 +7,8 @@
 #include "src/os/crash_sim.h"
 #include "src/os/mem_env.h"
 #include "src/rvm/rvm.h"
+#include "src/sim/sim_env.h"
+#include "src/util/crc32.h"
 #include "src/util/random.h"
 
 namespace rvm {
@@ -328,6 +330,133 @@ TEST_F(TruncationTest, TransactionLargerThanLogFailsCleanly) {
   ASSERT_TRUE(txn.SetRange(base, 32 * kPage).ok());  // > 64 KB log
   std::memset(base, 1, 32 * kPage);
   EXPECT_EQ(txn.Commit().code(), ErrorCode::kLogFull);
+}
+
+// Incremental truncation checksums each page from the image it hands to
+// WriteAt and keeps the segment's checksum map in memory (DESIGN.md §14):
+// neither a page read-back nor a sidecar reload touches the data disk.
+TEST(IncrementalChecksumTest, WritebackReadsNothingFromTheDataDisk) {
+  SimClock clock;
+  SimDisk log_disk(&clock, "log");
+  SimDisk data_disk(&clock, "data");
+  SimEnv env(&clock);
+  env.Mount("/log/", &log_disk);
+  env.Mount("/data/", &data_disk);
+  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log/rvm",
+                                     kLogDataStart + 64 * 1024)
+                  .ok());
+  RvmOptions options;
+  options.env = &env;
+  options.log_path = "/log/rvm";
+  options.runtime.use_incremental_truncation = true;
+  options.runtime.truncation_threshold = 0.5;
+  options.runtime.truncation_target = 0.25;
+  auto rvm = RvmInstance::Initialize(options);
+  ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+  RegionDescriptor region;
+  region.segment_path = "/data/seg";
+  region.length = 8 * kPage;
+  ASSERT_TRUE((*rvm)->Map(region).ok());
+  auto* base = static_cast<uint8_t*>(region.address);
+
+  const uint64_t reads_after_map = data_disk.reads();
+  for (int i = 0; i < 80; ++i) {
+    Transaction txn(**rvm);
+    ASSERT_TRUE(txn.SetRange(base + (i % 8) * kPage, 2048).ok());
+    std::memset(base + (i % 8) * kPage, i + 1, 2048);
+    ASSERT_TRUE(txn.Commit(CommitMode::kFlush).ok());
+  }
+  EXPECT_GE((*rvm)->statistics().truncations_completed, 2u)
+      << "the cached map must serve more than the first truncation";
+  EXPECT_GT((*rvm)->statistics().incremental_pages_written, 0u);
+  EXPECT_EQ((*rvm)->statistics().epoch_truncations, 0u);
+  EXPECT_EQ(data_disk.reads(), reads_after_map)
+      << "incremental truncation read from the data disk";
+
+  // The sidecar it wrote instead describes every written page exactly.
+  SegmentChecksumMap chk =
+      SegmentChecksumMap::Load(&env, "/data/seg", kPage);
+  auto file = env.Open("/data/seg", OpenMode::kReadOnly);
+  ASSERT_TRUE(file.ok());
+  std::vector<uint8_t> page(kPage);
+  uint64_t known = 0;
+  for (uint64_t p = 0; p < 8; ++p) {
+    if (!chk.known(p)) {
+      continue;
+    }
+    ++known;
+    ASSERT_EQ((*file)->ReadAt(p * kPage, page).value(), kPage);
+    EXPECT_EQ(chk.crc(p), Crc32(page)) << "page " << p;
+  }
+  EXPECT_GT(known, 0u);
+}
+
+// Power cuts anywhere in an incremental-truncation run leave sidecars that
+// never flag a good page: after recovery, eager verify-on-map passes.
+TEST(IncrementalChecksumTest, EagerVerifyOnMapPassesAfterPowerCut) {
+  // UINT64_MAX: cut the power only after the last commit returns, so the
+  // recovered image can be compared byte for byte.
+  std::vector<uint64_t> crash_points = {UINT64_MAX};
+  for (uint64_t op = 3; op < 240; op += 11) {
+    crash_points.push_back(op);
+  }
+  for (uint64_t crash_at : crash_points) {
+    SCOPED_TRACE("crash at op " + std::to_string(crash_at));
+    CrashSimEnv env;
+    ASSERT_TRUE(
+        RvmInstance::CreateLog(&env, "/log", kLogDataStart + 64 * 1024).ok());
+    std::vector<uint8_t> expected(8 * kPage, 0);
+    uint64_t steps = 0;
+    {
+      RvmOptions options;
+      options.env = &env;
+      options.log_path = "/log";
+      options.runtime.use_incremental_truncation = true;
+      options.runtime.truncation_threshold = 0.4;
+      auto rvm = RvmInstance::Initialize(options);
+      ASSERT_TRUE(rvm.ok());
+      RegionDescriptor region;
+      region.segment_path = "/seg";
+      region.length = 8 * kPage;
+      ASSERT_TRUE((*rvm)->Map(region).ok());
+      auto* base = static_cast<uint8_t*>(region.address);
+      env.SetCrashAtOp(crash_at);
+      Xoshiro256 rng(9);
+      for (int i = 0; i < 60 && !env.crashed(); ++i) {
+        const uint64_t offset = rng.Below(8) * kPage + rng.Below(3) * 1024;
+        Transaction txn(**rvm);
+        ASSERT_TRUE(txn.SetRange(base + offset, 1024).ok());
+        std::memset(base + offset, i + 1, 1024);
+        if (txn.Commit(CommitMode::kFlush).ok()) {
+          std::memset(expected.data() + offset, i + 1, 1024);
+        }
+      }
+      steps = (*rvm)->statistics().incremental_steps;
+      env.Crash();
+    }
+    if (crash_at == UINT64_MAX) {
+      ASSERT_GT(steps, 0u);
+    }
+    env.Recover();
+    RvmOptions options;
+    options.env = &env;
+    options.log_path = "/log";
+    options.verify_on_map = RvmOptions::VerifyOnMap::kEager;
+    auto rvm = RvmInstance::Initialize(options);
+    ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+    RegionDescriptor region;
+    region.segment_path = "/seg";
+    region.length = 8 * kPage;
+    Status mapped = (*rvm)->Map(region);
+    ASSERT_TRUE(mapped.ok()) << mapped.ToString();
+    EXPECT_EQ((*rvm)->statistics().checksum_mismatches, 0u);
+    if (crash_at == UINT64_MAX) {
+      EXPECT_GT((*rvm)->statistics().pages_scrubbed, 0u)
+          << "verify-on-map checked no page";
+      EXPECT_EQ(
+          std::memcmp(region.address, expected.data(), expected.size()), 0);
+    }
+  }
 }
 
 }  // namespace

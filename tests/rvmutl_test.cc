@@ -434,6 +434,8 @@ TEST_F(RvmutlTest, WatchExportsLintedMetricsAndServesHttp) {
       result.output.substr(at, result.output.find('\n', at) - at);
   CommandResult check = RunTool("check-metrics " + path);
   EXPECT_EQ(check.exit_code, 0) << check.output;
+  // The exposition file sits in `watch`'s scratch directory.
+  std::filesystem::remove_all(std::filesystem::path(path).parent_path());
 }
 
 TEST_F(RvmutlTest, SloReplayReportsTransitionsAndExitCodes) {

@@ -77,6 +77,46 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(Crc32Finish(state), Crc32(data));
 }
 
+// Reference: the plain one-byte-at-a-time table loop.
+uint32_t BytewiseCrc32(std::span<const uint8_t> data) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+    table[i] = crc;
+  }
+  uint32_t state = 0xFFFFFFFFu;
+  for (uint8_t byte : data) {
+    state = (state >> 8) ^ table[(state ^ byte) & 0xFFu];
+  }
+  return state ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseOverRandomLengthsAndAlignments) {
+  std::vector<uint8_t> data(9000 + 8);
+  Xoshiro256 rng(11);
+  for (auto& byte : data) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t start = rng.Next() % 8;
+    const size_t length = trial < 20 ? trial : rng.Next() % 9001;
+    std::span<const uint8_t> slice =
+        std::span<const uint8_t>(data).subspan(start, length);
+    ASSERT_EQ(Crc32(slice), BytewiseCrc32(slice))
+        << "start " << start << " length " << length;
+    // Split incrementally at a random point: the sliced loop must carry its
+    // state across an unaligned boundary.
+    const size_t cut = rng.Next() % (length + 1);
+    uint32_t state = Crc32Update(Crc32Init(), slice.subspan(0, cut));
+    state = Crc32Update(state, slice.subspan(cut));
+    ASSERT_EQ(Crc32Finish(state), BytewiseCrc32(slice))
+        << "start " << start << " length " << length << " cut " << cut;
+  }
+}
+
 TEST(Crc32Test, DetectsSingleBitFlip) {
   std::vector<uint8_t> data(64, 0xAB);
   uint32_t original = Crc32(data);
