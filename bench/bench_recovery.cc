@@ -1,6 +1,6 @@
 // Recovery time as a function of live log size (§5.1.2's crash recovery
-// procedure: forward validity scan, backward latest-wins pass, apply,
-// idempotent status update).
+// procedure: one forward read of the live log that validates it and builds
+// the newest-wins image, apply, idempotent status update).
 //
 // Recovery work should scale with the amount of un-truncated log, not with
 // segment size — that is the point of keeping recoverable memory small and

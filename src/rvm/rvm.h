@@ -60,6 +60,7 @@
 #include "src/rvm/cpu_model.h"
 #include "src/rvm/gauges.h"
 #include "src/rvm/log_device.h"
+#include "src/rvm/log_image.h"
 #include "src/rvm/options.h"
 #include "src/rvm/page_vector.h"
 #include "src/rvm/statistics.h"
@@ -469,18 +470,17 @@ class RvmInstance {
 
   // --- recovery & truncation (rvm_truncation.cc) ---
   Status RecoverLocked();
-  // Applies one shard's live log to its segments (no status change; the
-  // caller empties the log only after every shard's apply is durable).
-  Status RecoverShardBothLocked(LogShard& shard,
-                                const std::set<TransactionId>* decided,
+  // Applies one shard's image to its segments under the recovery counters
+  // (no status change; the caller empties the log only after every shard's
+  // apply is durable).
+  Status RecoverShardBothLocked(LogShard& shard, const LogImage& image,
                                 std::map<SegmentId, std::unique_ptr<File>>& files);
-  // One walk over the shard's live log: transaction ids carrying a 2PC
-  // prepare record, and ids carrying a decision or commit marker. Recovery
-  // unions the decided sets across shards (presumed abort) and uses the
-  // prepared sets to patch shards whose local decision evidence is missing.
-  Status CollectShardTidSetsBothLocked(LogShard& shard,
-                                       std::set<TransactionId>* prepared,
-                                       std::set<TransactionId>* decided);
+  // Reads one shard's live log forward into `image` (LogDevice::
+  // ScanLiveForward); with `extend_tail` (recovery) the read goes on past
+  // the status block's tail and `found` receives the number of records it
+  // discovered there. A failed read fail-stops the shard.
+  Status ScanLogImageBothLocked(LogShard& shard, bool extend_tail,
+                                LogImage* image, uint64_t* found = nullptr);
   Status TruncateEpochLocked(LogShard& shard);
   Status TruncateEpochBothLocked(LogShard& shard);
   // Forces every sibling shard's log if this shard's live log holds 2PC
@@ -499,18 +499,15 @@ class RvmInstance {
   bool AnyNeedsTruncationLocked() const;
   void TruncationThreadMain();
   void StopTruncationThread();
-  // Applies one shard's live log [head, tail) to external data segments
-  // using newest-record-wins, the shared core of recovery and epoch
-  // truncation. Counters and the per-record apply histogram distinguish the
-  // two callers. `decided` (recovery) filters 2PC prepare records down to
-  // decided transactions; nullptr (live truncation) filters against
-  // aborted_gtids_ instead. `files` is the segment-file cache to use —
-  // segment_files_ normally, a thread-private cache during parallel
-  // recovery.
+  // Writes one shard's newest-wins image of its live log to the external
+  // data segments in offset order, syncs them and refreshes their checksum
+  // maps: the shared core of recovery, epoch truncation and shard repair.
+  // Counters and the apply histogram (one sample per pass) distinguish the
+  // callers. `files` is the segment-file cache to use — segment_files_
+  // normally, a thread-private cache during parallel recovery.
   Status ApplyLogToSegmentsBothLocked(
-      LogShard& shard, StatCounter* records_applied,
+      LogShard& shard, const LogImage& image, StatCounter* records_applied,
       StatCounter* bytes_applied, LatencyHistogram* apply_us,
-      const std::set<TransactionId>* decided,
       std::map<SegmentId, std::unique_ptr<File>>& files);
   // Copies one shard's live records into a fresh, rvmutl-readable log (§6).
   Status ArchiveLiveLogBothLocked(LogShard& shard);
@@ -701,11 +698,12 @@ class RvmInstance {
       const std::vector<Interval>& written,
       const std::map<uint64_t, uint32_t>& page_crcs);
   // Re-derives the newest committed image of `page` of segment `id` from
-  // the shard's live log records (the same newest-record-wins walk
-  // ApplyLogToSegmentsBothLocked performs). When live records cover the
-  // whole page, the image is written back, synced, and recorded in `chk`;
-  // returns true. Returns false when coverage is partial or absent (the
-  // page's newest image predates the last truncation).
+  // the shard's live log records (newest record wins, with the prepare
+  // filter of live truncation: what ApplyLogToSegmentsBothLocked writes).
+  // When live records cover the whole page, the image is written back,
+  // synced, and recorded in `chk`; returns true. Returns false when
+  // coverage is partial or absent (the page's newest image predates the
+  // last truncation).
   StatusOr<bool> TryRepairPageFromLogBothLocked(LogShard& shard, SegmentId id,
                                                 File& file, uint64_t page,
                                                 uint64_t page_len,

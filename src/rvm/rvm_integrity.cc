@@ -127,10 +127,9 @@ Status RvmInstance::RefreshPageChecksumsBothLocked(
 StatusOr<bool> RvmInstance::TryRepairPageFromLogBothLocked(
     LogShard& shard, SegmentId id, File& file, uint64_t page,
     uint64_t page_len, SegmentChecksumMap* chk) {
-  // Newest-record-wins walk restricted to one page of one segment — the same
-  // chain ApplyLogToSegmentsBothLocked follows, including the prepare filter
-  // (DESIGN.md §12): a repair must reconstruct exactly what a truncation
-  // would have written.
+  // Newest-record-wins walk restricted to one page of one segment, with the
+  // prepare filter of live truncation (DESIGN.md §12): a repair must
+  // reconstruct exactly what a truncation would have written.
   const uint64_t target_start = page * page_size_;
   const uint64_t target_end = target_start + page_len;
   std::vector<uint8_t> image(page_size_, 0);

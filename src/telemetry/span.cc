@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <thread>
 
 #include "src/telemetry/json.h"
 
@@ -134,7 +135,30 @@ void SpanRing::Record(const Span& span) {
   // language memory models?"): odd marker, release fence, payload, even
   // release store. The payload fields are themselves atomic, so a reader
   // racing a wrap-around sees a stale value, never undefined behavior.
-  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
+  //
+  // Tickets that differ by a multiple of the capacity share the slot, so the
+  // odd marker is claimed with a CAS, and only from the even value an older
+  // ticket left: one writer at a time owns the slot. A writer that finds a
+  // newer ticket there drops its span (dropped() counts it: the slot ends
+  // up holding its newest ticket either way); one that finds an older
+  // ticket's write in flight waits for it.
+  const uint64_t claimed = 2 * ticket + 1;
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  while (true) {
+    if (seq > claimed) {
+      return;
+    }
+    if ((seq & 1) != 0) {
+      std::this_thread::yield();
+      seq = slot.seq.load(std::memory_order_relaxed);
+      continue;
+    }
+    // Acquire: this write's payload stores follow the previous owner's.
+    if (slot.seq.compare_exchange_weak(seq, claimed, std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+      break;
+    }
+  }
   std::atomic_thread_fence(std::memory_order_release);
   slot.span_id.store(span.span_id, std::memory_order_relaxed);
   slot.parent_id.store(span.parent_id, std::memory_order_relaxed);

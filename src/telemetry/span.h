@@ -92,8 +92,9 @@ class SpanRing {
   uint64_t recorded() const {
     return next_.load(std::memory_order_relaxed);
   }
-  // Spans overwritten by wrap-around (recorded minus what a snapshot can
-  // still observe).
+  // Spans overwritten by wrap-around, or dropped because a newer ticket
+  // already held their slot (recorded minus what a snapshot can still
+  // observe).
   uint64_t dropped() const {
     const uint64_t n = recorded();
     return n > capacity_ ? n - capacity_ : 0;

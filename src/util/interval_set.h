@@ -3,9 +3,10 @@
 // Used in two places that the paper calls out:
 //  - intra-transaction optimization (§5.2): coalescing duplicate, overlapping
 //    and adjacent set_range calls, and
-//  - crash recovery (§5.1.2): walking the log tail-to-head and applying only
-//    the *latest* committed value for each byte, which requires tracking
-//    which bytes have already been covered by newer records.
+//  - walking a log tail-to-head and keeping only the *latest* committed
+//    value for each byte (log-based page repair, the Camelot baseline's
+//    recovery), which requires tracking which bytes have already been
+//    covered by newer records.
 #ifndef RVM_UTIL_INTERVAL_SET_H_
 #define RVM_UTIL_INTERVAL_SET_H_
 

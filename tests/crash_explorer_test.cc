@@ -276,6 +276,36 @@ TEST(CrashExplorerTest, SubsetWritebackSchedulesPassOrFailStop) {
       << "no subset schedule hit the fail-stop ambiguity; seeds too tame";
 }
 
+TEST(CrashExplorerTest, CrashAfterALongForwardScanRecovers) {
+  // Recovery reads the whole live log forward, validating and imaging it,
+  // before it persists anything; its first persist op (rec=0) is the crash
+  // right after that read. Here the live log is long: a late truncation
+  // trigger keeps up to ~94% of the area live, so the live range often
+  // wraps past the end of the area, and a region of 32 pages outlasts one
+  // incremental truncation's 16 page writes, so the status block often
+  // names a head with live records before its tail (checked as committed)
+  // as well as after it (discovered). Every fifth forward crash point is
+  // followed by a crash at every recovery op, and by subset-writeback holes
+  // anywhere in that long range.
+  CheckerWorkload workload;
+  workload.total_txns = 120;
+  workload.truncation_threshold = 0.9;
+  workload.region_len = 32 * 4096;
+  CrashExplorer explorer(workload);
+  ExploreLimits limits;
+  limits.max_depth = 2;
+  limits.forward_stride = 5;
+  limits.forward_subset_seeds = {11};
+  auto stats = explorer.ExploreAll(limits, [](const ScheduleOutcome& outcome) {
+    EXPECT_TRUE(outcome.pass)
+        << outcome.schedule.ToString() << ": " << outcome.detail;
+  });
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->failed, 0u);
+  EXPECT_EQ(stats->max_depth_reached, 2u);
+  EXPECT_GT(stats->truncation_window_schedules, 0u);
+}
+
 TEST(CrashExplorerTest, ScheduleBudgetStopsEnumeration) {
   CrashExplorer explorer(SmallWorkload());
   ExploreLimits limits;

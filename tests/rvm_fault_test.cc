@@ -323,6 +323,79 @@ TEST(FaultSweepTest, PoisonedInstanceReportsCauseAndCounters) {
   EXPECT_GT((*rvm)->statistics().io_errors.load(), 0u);
 }
 
+// --- Damaged records the status block vouches for --------------------------
+//
+// A clean Terminate writes the status block with the log still live, so
+// every record up to its tail is committed data. One damaged record there
+// fails Initialize with kCorruption (recovery's forward read checks each
+// record against its predecessor), and the failed recovery moves no head.
+TEST(LiveLogCorruptionTest, DamagedRecordBeforeTheStatusTailFailsStop) {
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    MemEnv env;
+    ASSERT_TRUE(
+        RvmInstance::CreateLog(&env, "/log", kLogSize, false, shards).ok());
+    RvmOptions options;
+    options.env = &env;
+    options.log_path = "/log";
+    options.log_shards = shards;
+    {
+      auto rvm = RvmInstance::Initialize(options);
+      ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+      RegionDescriptor region;
+      region.segment_path = "/seg";
+      region.length = kRegionLen;
+      ASSERT_TRUE((*rvm)->Map(region).ok());
+      auto* slots = static_cast<uint64_t*>(region.address);
+      for (uint64_t i = 0; i < 5; ++i) {
+        Transaction txn(**rvm);
+        uint64_t value = 100 + i;
+        ASSERT_TRUE((*rvm)->Modify(txn.id(), &slots[i], &value, 8).ok());
+        ASSERT_TRUE(txn.Commit(CommitMode::kFlush).ok());
+      }
+      ASSERT_TRUE((*rvm)->Terminate().ok());
+    }
+    // The region's shard holds the five records; damage the middle one.
+    std::string victim;
+    std::vector<uint64_t> records;
+    LogStatusBlock before;
+    for (uint32_t k = 0; k < shards; ++k) {
+      const std::string path = shards == 1 ? "/log" : ShardLogPath("/log", k);
+      auto log = LogDevice::Open(&env, path);
+      ASSERT_TRUE(log.ok());
+      if ((*log)->used() > 0) {
+        victim = path;
+        auto offsets = (*log)->CollectRecordOffsets();
+        ASSERT_TRUE(offsets.ok());
+        records = *offsets;
+        before = (*log)->status();
+      }
+    }
+    ASSERT_EQ(records.size(), 5u) << "the status tail should cover them all";
+    {
+      auto file = env.Open(victim, OpenMode::kReadWrite);
+      ASSERT_TRUE(file.ok());
+      const uint64_t at = records[2] + kRecordHeaderSize + 4;
+      uint8_t byte = 0;
+      ASSERT_TRUE((*file)->ReadAt(at, std::span<uint8_t>(&byte, 1)).ok());
+      byte ^= 0xFF;
+      ASSERT_TRUE(
+          (*file)->WriteAt(at, std::span<const uint8_t>(&byte, 1)).ok());
+    }
+
+    auto rvm = RvmInstance::Initialize(options);
+    ASSERT_FALSE(rvm.ok()) << "recovery accepted a damaged committed record";
+    EXPECT_EQ(rvm.status().code(), ErrorCode::kCorruption)
+        << rvm.status().ToString();
+    auto after = LogDevice::Open(&env, victim);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ((*after)->status().head, before.head);
+    EXPECT_EQ((*after)->status().tail, before.tail);
+    EXPECT_EQ((*after)->status().generation, before.generation)
+        << "a failed recovery rewrote the status block";
+  }
+}
+
 // --- Shard fault domains (DESIGN.md §13) ----------------------------------
 //
 // On a multi-shard instance, a permanent I/O failure on shard k > 0 must

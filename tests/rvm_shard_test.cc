@@ -409,6 +409,101 @@ TEST_F(RvmShardTest, RecoveryReplaysEveryShardWithoutTerminate) {
   }
 }
 
+// --- Recovery's newest-wins image across 2PC prepares ----------------------
+//
+// Recovery builds each shard's image in one forward read and merges 2PC
+// prepare records only once every shard's decisions are known, by seqno:
+// the newer record wins each byte. The records below are appended to the
+// shard logs directly so that each ordering is exact.
+
+TEST(ShardImageTest, PreparesMergeIntoTheImageBySeqno) {
+  constexpr uint32_t kTwoShards = 2;
+  MemEnv env;
+  ASSERT_TRUE(
+      RvmInstance::CreateLog(&env, "/log", kLogSize, false, kTwoShards).ok());
+  RvmOptions options;
+  options.env = &env;
+  options.log_path = "/log";
+  options.log_shards = kTwoShards;
+  {
+    auto rvm = RvmInstance::Initialize(options);
+    ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+    RegionDescriptor region;
+    region.segment_path = "/seg0";
+    region.length = kPage;
+    ASSERT_TRUE((*rvm)->Map(region).ok());
+    ASSERT_TRUE((*rvm)->Terminate().ok());
+  }
+  SegmentId segment = kInvalidSegmentId;
+  {
+    auto shard0 = LogDevice::Open(&env, ShardLogPath("/log", 0));
+    ASSERT_TRUE(shard0.ok());
+    for (const SegmentDictEntry& entry : (*shard0)->status().segments) {
+      if (entry.path == "/seg0") {
+        segment = entry.id;
+      }
+    }
+  }
+  ASSERT_NE(segment, kInvalidSegmentId);
+  const uint32_t owner = static_cast<uint32_t>(segment % kTwoShards);
+  auto own_log = LogDevice::Open(&env, ShardLogPath("/log", owner));
+  auto other_log = LogDevice::Open(&env, ShardLogPath("/log", 1 - owner));
+  ASSERT_TRUE(own_log.ok() && other_log.ok());
+  LogDevice& own = **own_log;
+  LogDevice& other = **other_log;
+  auto append = [&](LogDevice& log, TransactionId tid, uint64_t offset,
+                    uint64_t length, uint8_t fill, uint8_t flags) {
+    std::vector<uint8_t> bytes(length, fill);
+    RangeView range{.segment = segment, .offset = offset, .data = bytes};
+    auto appended = log.AppendTransaction(tid, {&range, length > 0 ? 1u : 0u},
+                                          flags);
+    ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  };
+  // [0, 16): a newer prepare that no shard decided leaves the older
+  // committed bytes (presumed abort).
+  append(own, 501, 0, 16, 0xAA, 0);
+  append(own, 601, 0, 16, 0xBB, kRecordFlagShardPrepare);
+  // [100, 132): a decided prepare older than an overlapping ordinary record
+  // keeps only the bytes that record does not cover.
+  append(own, 602, 100, 24, 0xCC, kRecordFlagShardPrepare);
+  append(own, 502, 108, 24, 0xDD, 0);
+  // The status tail lands here: the scan validates what lies before it and
+  // discovers what follows.
+  ASSERT_TRUE(own.WriteStatus().ok());
+  // [200, 232): a decided prepare newer than the ordinary record wins.
+  append(own, 503, 200, 24, 0xEE, 0);
+  append(own, 603, 208, 24, 0x11, kRecordFlagShardPrepare);
+  // The decisions live only on the other shard.
+  append(other, 602, 0, 0, 0, kRecordFlagShardDecision);
+  append(other, 603, 0, 0, 0, kRecordFlagShardDecision);
+  ASSERT_TRUE(own.Sync().ok());
+  ASSERT_TRUE(other.Sync().ok());
+  own_log->reset();
+  other_log->reset();
+
+  auto rvm = RvmInstance::Initialize(options);
+  ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+  // Three ordinary records, two decided prepares, two decisions and the two
+  // commit markers recovery appends to the owner's log before applying.
+  EXPECT_EQ((*rvm)->statistics().recovery_records_applied.load(), 9u);
+  EXPECT_EQ((*rvm)->statistics().recovery_bytes_applied.load(), 16u + 32 + 32);
+  RegionDescriptor region;
+  region.segment_path = "/seg0";
+  region.length = kPage;
+  ASSERT_TRUE((*rvm)->Map(region).ok());
+  const auto* base = static_cast<const uint8_t*>(region.address);
+  auto expect_run = [&](uint64_t from, uint64_t to, uint8_t value) {
+    for (uint64_t i = from; i < to; ++i) {
+      ASSERT_EQ(base[i], value) << "byte " << i;
+    }
+  };
+  expect_run(0, 16, 0xAA);
+  expect_run(100, 108, 0xCC);
+  expect_run(108, 132, 0xDD);
+  expect_run(200, 208, 0xEE);
+  expect_run(208, 232, 0x11);
+}
+
 // --- Sharded basher --------------------------------------------------------
 //
 // The basher pattern of tests/basher_test.cc on a 4-shard instance with one
