@@ -242,6 +242,12 @@ int Main(int argc, char** argv) {
   check(static_cast<double>(p50_exporter) <=
             1.05 * static_cast<double>(p50_off),
         "metrics export + SLO eval adds <= 5% to the flush-commit p50");
+  // The ticks themselves run between commits, outside that p50, so the same
+  // leg's whole-transaction throughput bounds what the exposition rewrite
+  // costs: an fsync per tick (a durable write of a file every tick
+  // regenerates) held it at ~57% of the exporter-off leg.
+  check(flush_restore.total_ms >= 0.70 * flush_exporter.total_ms,
+        "metrics export keeps >= 70% of flush-commit throughput");
   return ok ? 0 : 1;
 }
 

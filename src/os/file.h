@@ -93,9 +93,10 @@ class Env {
   // Replaces `to` with `from`. RealEnv overrides this with an atomic
   // ::rename — the property the metrics exposition file relies on (a scraper
   // never reads a half-written file). The default is a copy-then-delete
-  // built on Open/WriteAt/Sync/Delete, which is not atomic but preserves the
+  // built on Open/WriteAt/Delete, which is not atomic but preserves the
   // same observable end state on the in-memory environments (whose files
-  // appear whole to their single-threaded readers anyway).
+  // appear whole to their single-threaded readers anyway). Like ::rename,
+  // neither makes anything durable.
   virtual Status Rename(const std::string& from, const std::string& to);
 };
 
@@ -107,7 +108,9 @@ StatusOr<std::vector<uint8_t>> ReadWholeFile(File& file);
 
 // Writes `content` to `path` via a "<path>.tmp" sibling plus Rename, so a
 // concurrent reader sees either the previous complete file or the new one —
-// never a prefix. The sampler tick uses this for the metrics exposition file.
+// never a prefix. Nothing is synced: the result is atomic for readers, not
+// durable. The sampler tick uses this for the metrics exposition file, which
+// every tick regenerates, so a crash that loses it loses nothing.
 Status WriteFileAtomic(Env& env, const std::string& path,
                        std::string_view content);
 

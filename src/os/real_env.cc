@@ -196,12 +196,12 @@ Status Env::Rename(const std::string& from, const std::string& to) {
   RVM_ASSIGN_OR_RETURN(std::unique_ptr<File> target,
                        Open(to, OpenMode::kTruncate));
   RVM_RETURN_IF_ERROR(target->WriteAt(0, data));
-  RVM_RETURN_IF_ERROR(target->Sync());
   return Delete(from);
 }
 
 Status WriteFileAtomic(Env& env, const std::string& path,
                        std::string_view content) {
+  // No Sync (file.h): readers need the swap atomic, not the bytes durable.
   const std::string tmp = path + ".tmp";
   {
     RVM_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
@@ -209,7 +209,6 @@ Status WriteFileAtomic(Env& env, const std::string& path,
     std::span<const uint8_t> bytes(
         reinterpret_cast<const uint8_t*>(content.data()), content.size());
     RVM_RETURN_IF_ERROR(file->WriteAt(0, bytes));
-    RVM_RETURN_IF_ERROR(file->Sync());
   }
   return env.Rename(tmp, path);
 }

@@ -9,8 +9,11 @@
 // one CRC32 per page-size block of the segment file, recorded whenever
 // truncation or recovery writes committed bytes into it: from the page image
 // written for whole-page writeback, from the file read back for partial-page
-// log apply. A live instance keeps each map in memory (RvmInstance's shards
-// own them) and saves it after every change.
+// log apply under mapped regions (epoch truncation, shard repair), and, for
+// the pages recovery applies before anything is mapped, from the bytes Map
+// copies in (recovery forgets their old entries; Map records the new ones).
+// A live instance keeps each map in memory (RvmInstance's shards own them)
+// and saves it after every change.
 //
 // Crash-safety contract: the sidecar is rewritten in full (single WriteAt at
 // offset 0, then Sync) with a footer CRC over the whole body. A torn or
@@ -19,8 +22,10 @@
 // bad. The converse (a stale map making a bad page look good) is excluded by
 // write ordering: segment writes are synced before the map is rewritten, and
 // the log head only advances after both, so any page whose map entry could be
-// stale is still covered by live log records and is re-written and
-// re-checksummed by recovery (the atomicity argument in DESIGN.md section 14).
+// stale is still covered by live log records and is re-written by recovery,
+// which forgets the entry before the head moves. A crash after that and
+// before Map leaves the page unknown, never stale (the atomicity argument in
+// DESIGN.md section 14).
 #ifndef RVM_RVM_CHECKSUM_MAP_H_
 #define RVM_RVM_CHECKSUM_MAP_H_
 

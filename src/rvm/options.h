@@ -178,7 +178,8 @@ struct RvmOptions {
 
   // Data-segment integrity (DESIGN.md §14). When enabled, every segment file
   // gains a "<path>.chk" sidecar holding one CRC32 per page, refreshed
-  // whenever truncation or recovery writes committed bytes into the segment.
+  // whenever truncation or recovery writes committed bytes into the segment
+  // (the pages recovery writes take theirs at the Map that follows).
   // ScrubShard/ScrubRegion verify segment files against the sidecar online;
   // a mismatching page is repaired from live log records when its newest
   // committed image is still in the pre-truncation window, else the owning

@@ -579,15 +579,18 @@ Status RvmInstance::Terminate() {
     RVM_RETURN_IF_ERROR(FlushDirectLocked());
     // Persist the exact tail of every shard so the next Initialize has no
     // forward scanning to do; not required for correctness, recovery would
-    // find the tails itself. Quarantined shards are skipped — their device
-    // is poisoned and the next Initialize (or RepairShard) recovers them by
-    // scanning anyway.
+    // find the tails itself. Checksum the pages recovery applied to segments
+    // never mapped since, so the sidecars end as complete as the log apply
+    // left them. Quarantined shards are skipped — their device is poisoned
+    // and the next Initialize (or RepairShard) recovers them by scanning
+    // anyway.
     for (const auto& shard : shards_) {
       if (shard->health.load(std::memory_order_acquire) !=
           static_cast<uint32_t>(ShardHealth::kOk)) {
         continue;
       }
       std::lock_guard<std::mutex> log_lock(shard->log_mu);
+      RVM_RETURN_IF_ERROR(RecordPendingChecksumsBothLocked(*shard));
       RVM_RETURN_IF_ERROR(shard->log->WriteStatus());
     }
     terminated_ = true;
@@ -794,18 +797,19 @@ Status RvmInstance::Map(RegionDescriptor& region) {
   cpu_.Fixed(cpu_.model().map_fixed_us);
   cpu_.Copy(region.length);
 
-  // Eager verify-on-map (DESIGN.md §14): catch segment corruption before the
-  // application ever sees the bytes. Runs before the region is registered so
-  // a failed verification leaves no mapping behind.
-  if (checksums_enabled_ && verify_on_map_ == RvmOptions::VerifyOnMap::kEager) {
-    Status verified =
-        VerifyRegionOnMapLocked(seg_id, region.segment_path, seg_file,
-                                region.segment_offset, region.length, base);
-    if (!verified.ok()) {
+  // Checksums (DESIGN.md §14): eager verify-on-map catches segment
+  // corruption before the application ever sees the bytes, and the pages
+  // recovery applied take their checksums from this copy-in. Runs before the
+  // region is registered so a failed verification leaves no mapping behind.
+  if (checksums_enabled_) {
+    Status checked =
+        ChecksumRegionOnMapLocked(seg_id, region.segment_path, seg_file,
+                                  region.segment_offset, region.length, base);
+    if (!checked.ok()) {
       if (owns) {
         std::free(base);
       }
-      return verified;
+      return checked;
     }
   }
 

@@ -425,6 +425,10 @@ class RvmInstance {
     // loaded from their "<segment>.chk" sidecars on first use and kept equal
     // to them by every in-process sidecar writer (log_mu).
     std::map<SegmentId, SegmentChecksumMap> checksum_maps;
+    // Pages recovery applied whose checksums Map takes from the bytes it
+    // copies in (DESIGN.md §14), per segment; each is unknown in
+    // checksum_maps until then (log_mu).
+    std::map<SegmentId, std::set<uint64_t>> pending_baselines;
     // True when the live log holds 2PC decision records (state_mu_). A
     // decision may be the only durable evidence that a cross-shard
     // transaction committed — participants' markers are appended unforced —
@@ -470,10 +474,22 @@ class RvmInstance {
 
   // --- recovery & truncation (rvm_truncation.cc) ---
   Status RecoverLocked();
+  // How a log apply records the checksums of the pages it wrote
+  // (DESIGN.md §14).
+  enum class ApplyBaselines {
+    // Read the pages back: their segments may be mapped, so only the file
+    // says what is durable (epoch truncation, RepairShard).
+    kReadBack,
+    // Forget them and leave them pending: nothing is mapped yet, and Map
+    // takes each page's checksum from the bytes it copies in (recovery at
+    // Initialize).
+    kAtMap,
+  };
   // Applies one shard's image to its segments under the recovery counters
   // (no status change; the caller empties the log only after every shard's
   // apply is durable).
   Status RecoverShardBothLocked(LogShard& shard, const LogImage& image,
+                                ApplyBaselines baselines,
                                 std::map<SegmentId, std::unique_ptr<File>>& files);
   // Reads one shard's live log forward into `image` (LogDevice::
   // ScanLiveForward); with `extend_tail` (recovery) the read goes on past
@@ -500,14 +516,16 @@ class RvmInstance {
   void TruncationThreadMain();
   void StopTruncationThread();
   // Writes one shard's newest-wins image of its live log to the external
-  // data segments in offset order, syncs them and refreshes their checksum
-  // maps: the shared core of recovery, epoch truncation and shard repair.
-  // Counters and the apply histogram (one sample per pass) distinguish the
-  // callers. `files` is the segment-file cache to use — segment_files_
-  // normally, a thread-private cache during parallel recovery.
+  // data segments in offset order, syncs them and updates their checksum
+  // maps as `baselines` says: the shared core of recovery, epoch truncation
+  // and shard repair. Counters and the apply histogram (one sample per
+  // pass) distinguish the callers. `files` is the segment-file cache to use
+  // — segment_files_ normally, a thread-private cache during parallel
+  // recovery.
   Status ApplyLogToSegmentsBothLocked(
-      LogShard& shard, const LogImage& image, StatCounter* records_applied,
-      StatCounter* bytes_applied, LatencyHistogram* apply_us,
+      LogShard& shard, const LogImage& image, ApplyBaselines baselines,
+      StatCounter* records_applied, StatCounter* bytes_applied,
+      LatencyHistogram* apply_us,
       std::map<SegmentId, std::unique_ptr<File>>& files);
   // Copies one shard's live records into a fresh, rvmutl-readable log (§6).
   Status ArchiveLiveLogBothLocked(LogShard& shard);
@@ -685,18 +703,29 @@ class RvmInstance {
   // and fail-stops the shard.
   Status SaveChecksumMapBothLocked(LogShard& shard, SegmentId id);
   // Records and persists the checksum-map entries for pages of segment `id`
-  // that a truncation or recovery pass just wrote: `page_crcs` holds CRCs
+  // that a truncation or repair pass just wrote: `page_crcs` holds CRCs
   // taken from the exact page images handed to WriteAt (whole-page
   // incremental writeback); the pages overlapped by `written` (file-absolute
-  // byte intervals of partial-page log apply) are read back from `file`, so
-  // their entries describe the durable bytes. Callers invoke it
-  // after the segment writes are synced and before the log head advances —
-  // the ordering the §14 atomicity argument rests on. No-op when checksums
-  // are disabled or nothing was written.
+  // byte intervals of partial-page log apply) are read back from `file`, one
+  // read per run of consecutive pages, so their entries describe the
+  // durable bytes. Callers invoke it after the segment writes are synced
+  // and before the log head advances — the ordering the §14 atomicity
+  // argument rests on. No-op when checksums are disabled or nothing was
+  // written.
   Status RefreshPageChecksumsBothLocked(
       LogShard& shard, SegmentId id, File& file,
       const std::vector<Interval>& written,
       const std::map<uint64_t, uint32_t>& page_crcs);
+  // Recovery's half of the same step: marks the pages overlapped by
+  // `written` unknown, persists that, and leaves them pending for Map
+  // (ApplyLogToSegmentsBothLocked with ApplyBaselines::kAtMap). Same
+  // ordering: after the segment syncs, before the head moves.
+  Status DeferPageChecksumsBothLocked(LogShard& shard, SegmentId id,
+                                      const std::vector<Interval>& written);
+  // Reads back the pages still pending on this shard's segments (recovered,
+  // never mapped since) and records them, so a clean shutdown leaves every
+  // applied page known (Terminate).
+  Status RecordPendingChecksumsBothLocked(LogShard& shard);
   // Re-derives the newest committed image of `page` of segment `id` from
   // the shard's live log records (newest record wins, with the prepare
   // filter of live truncation: what ApplyLogToSegmentsBothLocked writes).
@@ -719,13 +748,15 @@ class RvmInstance {
                            const std::string& segment_path,
                            uint64_t first_page, uint64_t page_end,
                            ScrubReport* report);
-  // Verify-on-map (RvmOptions::VerifyOnMap::kEager): verifies every known
-  // page of the just-copied region image in `base` against the sidecar,
-  // repairing from the log (file, memory, and sidecar all patched) or
-  // escalating. Runs under state_mu_ before the region is registered.
-  Status VerifyRegionOnMapLocked(SegmentId id, const std::string& seg_path,
-                                 File& file, uint64_t segment_offset,
-                                 uint64_t length, uint8_t* base);
+  // Map's checksum step over the just-copied region image in `base`. With
+  // RvmOptions::VerifyOnMap::kEager it first verifies every known page
+  // against the sidecar, repairing from the log (file, memory, and sidecar
+  // all patched) or escalating. Then every page recovery left pending and
+  // still unknown takes the CRC of its copied-in bytes, and the map is
+  // saved once. Runs under state_mu_ before the region is registered.
+  Status ChecksumRegionOnMapLocked(SegmentId id, const std::string& seg_path,
+                                   File& file, uint64_t segment_offset,
+                                   uint64_t length, uint8_t* base);
 
   // --- mapping helpers ---
   StatusOr<RegionState*> FindRegionLocked(const void* address,

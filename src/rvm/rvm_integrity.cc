@@ -1,16 +1,17 @@
 // Data-segment integrity (DESIGN.md §14): checksum-sidecar refresh, online
-// scrubbing, log-based page repair, and eager verify-on-map.
+// scrubbing, log-based page repair, and Map's checksum step.
 //
 // The paper trusts external data segments blindly ("RVM does not provide
 // media recovery", §3.1). This file closes that gap end to end: each shard
 // keeps the per-page CRC32 map of its segments in memory, truncation and
-// recovery record and persist it after every segment write
-// (RefreshPageChecksumsBothLocked, called from rvm_truncation.cc between the
-// segment syncs and the log-head advance), scrubs verify the segment files
-// against the sidecar in small batches under the staged locks, and a
-// mismatched page is either repaired from the newest committed image still
-// present in the shard's live log (pre-truncation window) or escalated to
-// the shard quarantine machinery of DESIGN.md §13.
+// recovery record and persist it after every segment write and before the
+// log-head advance (RefreshPageChecksumsBothLocked, or for recovery
+// DeferPageChecksumsBothLocked, which leaves the pages for Map to checksum
+// from its copy-in), scrubs verify the segment files against the sidecar in
+// small batches under the staged locks, and a mismatched page is either
+// repaired from the newest committed image still present in the shard's
+// live log (pre-truncation window) or escalated to the shard quarantine
+// machinery of DESIGN.md §13.
 #include <algorithm>
 #include <cstring>
 #include <set>
@@ -27,6 +28,23 @@ namespace {
 // rewriting the sidecar, small enough that commits blocked behind a batch wait
 // for at most ~128 KiB of reads and CRCs.
 constexpr uint64_t kScrubBatchPages = 32;
+
+// Pages a checksum read-back reads before it checksums them: 4 MiB of
+// buffer at 4 KiB pages.
+constexpr size_t kReadBackBatchPages = 1024;
+
+// The pages that the byte intervals `written` overlap, ascending.
+std::set<uint64_t> PagesOverlapping(const std::vector<Interval>& written,
+                                    uint64_t page_size) {
+  std::set<uint64_t> pages;
+  for (const Interval& range : written) {
+    for (uint64_t page = range.start / page_size; page * page_size < range.end;
+         ++page) {
+      pages.insert(page);
+    }
+  }
+  return pages;
+}
 }  // namespace
 
 // A page's recorded CRC is defined over its bytes ZERO-PADDED to the page
@@ -97,31 +115,83 @@ Status RvmInstance::RefreshPageChecksumsBothLocked(
   RVM_ASSIGN_OR_RETURN(uint64_t size, file.Size());
   // Pages written only in part (log apply) are re-read from the file rather
   // than rebuilt from the in-memory source: the sidecar must describe the
-  // durable bytes, whatever they are.
-  std::set<uint64_t> pages;
-  for (const Interval& range : written) {
-    for (uint64_t page = range.start / page_size_;
-         page * page_size_ < range.end; ++page) {
-      pages.insert(page);
+  // durable bytes, whatever they are. One read per run of consecutive pages;
+  // a batch's runs are all read before any page is checksummed, so the disk
+  // streams through them rather than idling behind the CRCs.
+  std::vector<uint64_t> pages;
+  for (uint64_t page : PagesOverlapping(written, page_size_)) {
+    if (page * page_size_ >= size) {
+      break;
     }
+    pages.push_back(page);
   }
-  std::vector<uint8_t> buf(page_size_);
-  for (uint64_t page : pages) {
-    const uint64_t start = page * page_size_;
-    if (start >= size) {
-      continue;
+  std::vector<uint8_t> buf;
+  for (size_t batch = 0; batch < pages.size(); batch += kReadBackBatchPages) {
+    const size_t batch_end =
+        std::min(pages.size(), batch + kReadBackBatchPages);
+    buf.assign((batch_end - batch) * page_size_, 0);
+    for (size_t run = batch; run < batch_end;) {
+      size_t run_end = run + 1;
+      while (run_end < batch_end && pages[run_end] == pages[run_end - 1] + 1) {
+        ++run_end;
+      }
+      const uint64_t start = pages[run] * page_size_;
+      const uint64_t len = std::min((run_end - run) * page_size_, size - start);
+      uint8_t* dst = buf.data() + (run - batch) * page_size_;
+      RVM_ASSIGN_OR_RETURN(size_t got,
+                           file.ReadAt(start, std::span<uint8_t>(dst, len)));
+      if (got < len) {
+        std::memset(dst + got, 0, len - got);
+      }
+      run = run_end;
     }
-    const uint64_t len = std::min(page_size_, size - start);
-    std::memset(buf.data(), 0, page_size_);
-    RVM_ASSIGN_OR_RETURN(size_t got,
-                         file.ReadAt(start, std::span<uint8_t>(buf.data(), len)));
-    if (got < len) {
-      std::memset(buf.data() + got, 0, len - got);
+    for (size_t i = batch; i < batch_end; ++i) {
+      const uint8_t* image = buf.data() + (i - batch) * page_size_;
+      chk->Set(pages[i], Crc32(std::span<const uint8_t>(image, page_size_)));
+      cpu_.Copy(page_size_);
     }
-    chk->Set(page, Crc32(std::span<const uint8_t>(buf.data(), page_size_)));
-    cpu_.Copy(page_size_);
   }
   return SaveChecksumMapBothLocked(shard, id);
+}
+
+Status RvmInstance::DeferPageChecksumsBothLocked(
+    LogShard& shard, SegmentId id, const std::vector<Interval>& written) {
+  if (!checksums_enabled_ || written.empty()) {
+    return OkStatus();
+  }
+  RVM_ASSIGN_OR_RETURN(SegmentChecksumMap * chk,
+                       ChecksumMapBothLocked(shard, id));
+  std::set<uint64_t>& pending = shard.pending_baselines[id];
+  for (uint64_t page : PagesOverlapping(written, page_size_)) {
+    chk->Forget(page);
+    pending.insert(page);
+  }
+  return SaveChecksumMapBothLocked(shard, id);
+}
+
+Status RvmInstance::RecordPendingChecksumsBothLocked(LogShard& shard) {
+  for (const auto& [id, pages] : shard.pending_baselines) {
+    RVM_ASSIGN_OR_RETURN(SegmentChecksumMap * chk,
+                         ChecksumMapBothLocked(shard, id));
+    std::vector<Interval> unknown;
+    for (uint64_t page : pages) {
+      if (!chk->known(page)) {
+        unknown.push_back({page * page_size_, (page + 1) * page_size_});
+      }
+    }
+    if (unknown.empty()) {
+      continue;
+    }
+    if (!segment_files_.contains(id)) {
+      RVM_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
+                           OpenSegmentBothLocked(shard, id));
+      segment_files_[id] = std::move(file);
+    }
+    RVM_RETURN_IF_ERROR(RefreshPageChecksumsBothLocked(
+        shard, id, *segment_files_[id], unknown, {}));
+  }
+  shard.pending_baselines.clear();
+  return OkStatus();
 }
 
 StatusOr<bool> RvmInstance::TryRepairPageFromLogBothLocked(
@@ -226,6 +296,7 @@ Status RvmInstance::ScrubSegmentPages(uint32_t shard_index, SegmentId id,
     }
     RVM_ASSIGN_OR_RETURN(SegmentChecksumMap * chk,
                          ChecksumMapBothLocked(shard, id));
+    auto pending = shard.pending_baselines.find(id);
     const uint64_t batch_end = std::min(limit, page + kScrubBatchPages);
     std::vector<uint8_t> buf(page_size_);
     for (; page < batch_end; ++page) {
@@ -242,8 +313,12 @@ Status RvmInstance::ScrubSegmentPages(uint32_t shard_index, SegmentId id,
       ++report->pages_scrubbed;
       ++stats_.pages_scrubbed;
       if (!chk->known(page)) {
-        // Trust-on-first-read: adopt the current image as the baseline.
+        // Trust-on-first-read: adopt the current image as the baseline
+        // (which also settles a page recovery left pending for Map).
         chk->Set(page, crc);
+        if (pending != shard.pending_baselines.end()) {
+          pending->second.erase(page);
+        }
         continue;
       }
       if (crc == chk->crc(page)) {
@@ -339,19 +414,25 @@ StatusOr<RvmInstance::ScrubReport> RvmInstance::ScrubRegion(
   return report;
 }
 
-Status RvmInstance::VerifyRegionOnMapLocked(SegmentId id,
-                                            const std::string& seg_path,
-                                            File& file, uint64_t segment_offset,
-                                            uint64_t length, uint8_t* base) {
+Status RvmInstance::ChecksumRegionOnMapLocked(SegmentId id,
+                                              const std::string& seg_path,
+                                              File& file,
+                                              uint64_t segment_offset,
+                                              uint64_t length, uint8_t* base) {
   LogShard& shard = ShardFor(id);
   std::lock_guard<std::mutex> log_lock(shard.log_mu);
+  const bool eager = verify_on_map_ == RvmOptions::VerifyOnMap::kEager;
+  if (!eager && !shard.pending_baselines.contains(id)) {
+    return OkStatus();  // lazy, and recovery left this segment nothing
+  }
   RVM_ASSIGN_OR_RETURN(SegmentChecksumMap * chk,
                        ChecksumMapBothLocked(shard, id));
   Status failure = OkStatus();
-  for (uint64_t off = 0; off < length && failure.ok(); off += page_size_) {
+  for (uint64_t off = 0; eager && off < length && failure.ok();
+       off += page_size_) {
     const uint64_t page = (segment_offset + off) / page_size_;
     if (!chk->known(page)) {
-      continue;  // baselines come from truncation and scrubs, not Map
+      continue;  // nothing to verify against
     }
     const uint64_t len = std::min(page_size_, length - off);
     ++stats_.pages_scrubbed;
@@ -376,6 +457,27 @@ Status RvmInstance::VerifyRegionOnMapLocked(SegmentId id,
     ++stats_.pages_quarantined;
     failure = Corruption("segment page failed checksum verification at map: " +
                          seg_path + " page " + std::to_string(page));
+  }
+  // The pages recovery applied: `base` holds exactly their durable bytes
+  // (recovery synced them, and nothing writes an unmapped range), zero-padded
+  // to the page because Map rounds the file up with zeros. Checksumming the
+  // copy-in spares reading them back (DESIGN.md §14).
+  auto pending = shard.pending_baselines.find(id);
+  if (failure.ok() && pending != shard.pending_baselines.end()) {
+    const uint64_t first_page = segment_offset / page_size_;
+    const uint64_t end_page = first_page + length / page_size_;
+    std::set<uint64_t>& pages = pending->second;
+    for (auto page = pages.lower_bound(first_page);
+         page != pages.end() && *page < end_page; page = pages.erase(page)) {
+      if (!chk->known(*page)) {
+        const uint8_t* image = base + (*page - first_page) * page_size_;
+        chk->Set(*page, Crc32(std::span<const uint8_t>(image, page_size_)));
+        cpu_.Copy(page_size_);
+      }
+    }
+    if (pages.empty()) {
+      shard.pending_baselines.erase(pending);
+    }
   }
   RVM_RETURN_IF_ERROR(SaveChecksumMapBothLocked(shard, id));
   if (!failure.ok()) {

@@ -61,8 +61,9 @@ Status RvmInstance::ScanLogImageBothLocked(LogShard& shard, bool extend_tail,
 }
 
 Status RvmInstance::ApplyLogToSegmentsBothLocked(
-    LogShard& shard, const LogImage& image, StatCounter* records_applied,
-    StatCounter* bytes_applied, LatencyHistogram* apply_us,
+    LogShard& shard, const LogImage& image, ApplyBaselines baselines,
+    StatCounter* records_applied, StatCounter* bytes_applied,
+    LatencyHistogram* apply_us,
     std::map<SegmentId, std::unique_ptr<File>>& files) {
   const uint64_t apply_start_us = env_->NowMicros();
   for (uint64_t i = 0; i < image.records(); ++i) {
@@ -70,7 +71,7 @@ Status RvmInstance::ApplyLogToSegmentsBothLocked(
   }
   *records_applied += image.records();
   // Each segment's newest committed bytes, in offset order. `written` keeps
-  // the file ranges for the checksum-map refresh below (DESIGN.md §14).
+  // the file ranges for the checksum-map step below (DESIGN.md §14).
   std::map<SegmentId, std::vector<Interval>> written;
   for (const auto& [segment, extents] : image.segments()) {
     if (!files.contains(segment)) {
@@ -100,26 +101,31 @@ Status RvmInstance::ApplyLogToSegmentsBothLocked(
       return synced;
     }
   }
-  // Refresh the checksum sidecars AFTER the segment syncs and BEFORE the
+  // Update the checksum sidecars AFTER the segment syncs and BEFORE the
   // caller advances the log head: any page whose sidecar entry a crash
-  // leaves stale is still covered by live records and is re-written and
-  // re-checksummed when recovery reruns this procedure (DESIGN.md §14).
+  // leaves stale is still covered by live records and is re-written when
+  // recovery reruns this procedure (DESIGN.md §14). Recovery forgets the
+  // pages and lets Map checksum its copy-in; the other callers apply under
+  // mapped regions and read the pages back.
   for (const auto& [segment, ranges] : written) {
-    Status refreshed = RefreshPageChecksumsBothLocked(
-        shard, segment, *files[segment], ranges, {});
-    if (!refreshed.ok()) {
-      PoisonShard(shard, refreshed);
-      return refreshed;
+    Status recorded =
+        baselines == ApplyBaselines::kAtMap
+            ? DeferPageChecksumsBothLocked(shard, segment, ranges)
+            : RefreshPageChecksumsBothLocked(shard, segment, *files[segment],
+                                             ranges, {});
+    if (!recorded.ok()) {
+      PoisonShard(shard, recorded);
+      return recorded;
     }
   }
   return OkStatus();
 }
 
 Status RvmInstance::RecoverShardBothLocked(
-    LogShard& shard, const LogImage& image,
+    LogShard& shard, const LogImage& image, ApplyBaselines baselines,
     std::map<SegmentId, std::unique_ptr<File>>& files) {
   return ApplyLogToSegmentsBothLocked(
-      shard, image, &stats_.recovery_records_applied,
+      shard, image, baselines, &stats_.recovery_records_applied,
       &stats_.recovery_bytes_applied, &stats_.recovery_apply_us, files);
 }
 
@@ -220,7 +226,8 @@ Status RvmInstance::RecoverLocked() {
         std::lock_guard<std::mutex> log_lock(shard->log_mu);
         const uint64_t apply_start_us =
             spans_ != nullptr ? env_->NowMicros() : 0;
-        results[i] = RecoverShardBothLocked(*shard, image, caches[i]);
+        results[i] = RecoverShardBothLocked(*shard, image,
+                                            ApplyBaselines::kAtMap, caches[i]);
         if (spans_ != nullptr) {
           EmitMaintenanceSpan(SpanKind::kRecoveryApply, shard->index,
                               apply_start_us, env_->NowMicros(), 0);
@@ -244,8 +251,8 @@ Status RvmInstance::RecoverLocked() {
     for (size_t i = 0; i < live.size(); ++i) {
       std::lock_guard<std::mutex> log_lock(live[i]->log_mu);
       const uint64_t apply_start_us = spans_ != nullptr ? env_->NowMicros() : 0;
-      RVM_RETURN_IF_ERROR(
-          RecoverShardBothLocked(*live[i], images[i], segment_files_));
+      RVM_RETURN_IF_ERROR(RecoverShardBothLocked(
+          *live[i], images[i], ApplyBaselines::kAtMap, segment_files_));
       if (spans_ != nullptr) {
         EmitMaintenanceSpan(SpanKind::kRecoveryApply, live[i]->index,
                             apply_start_us, env_->NowMicros(), 0);
@@ -395,9 +402,9 @@ Status RvmInstance::TruncateEpochBothLocked(LogShard& shard) {
   image.ResolvePrepares(
       [this](TransactionId tid) { return !aborted_gtids_.contains(tid); });
   RVM_RETURN_IF_ERROR(ApplyLogToSegmentsBothLocked(
-      shard, image, &stats_.truncation_records_applied,
-      &stats_.truncation_bytes_applied, &stats_.truncation_step_us,
-      segment_files_));
+      shard, image, ApplyBaselines::kReadBack,
+      &stats_.truncation_records_applied, &stats_.truncation_bytes_applied,
+      &stats_.truncation_step_us, segment_files_));
   RVM_RETURN_IF_ERROR(ForceSiblingEvidenceBothLocked(shard));
   shard.log->MarkEmpty();
   shard.holds_decisions = false;
@@ -680,8 +687,10 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
         shards_[0]->log->status().next_segment_id;
     std::lock_guard<std::mutex> log_lock(shard.log_mu);
     shard.log = std::move(healed);
-    // Checksum maps restart from their sidecars too, like a restart would.
+    // Checksum maps restart from their sidecars too, like a restart would;
+    // pages recovery left pending stay unknown there.
     shard.checksum_maps.clear();
+    shard.pending_baselines.clear();
 
     // Phase 1: find the true end of the healed log by forward validity
     // scanning (records appended after the last durable status write, and
@@ -713,8 +722,10 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
       });
 
       // Phase 3+4: apply this shard's newest-wins image to its (disjoint)
-      // segment set.
-      RVM_RETURN_IF_ERROR(RecoverShardBothLocked(shard, image, segment_files_));
+      // segment set. Its regions stay mapped through the repair, so the
+      // applied pages are read back for their checksums.
+      RVM_RETURN_IF_ERROR(RecoverShardBothLocked(
+          shard, image, ApplyBaselines::kReadBack, segment_files_));
     }
 
     // Phase 5: declare the log empty — but if it carried cross-shard

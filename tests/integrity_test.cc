@@ -10,12 +10,13 @@
 // otherwise. Detection scope is at-rest decay and misdirected writes, plus
 // corrupting faults on whole-page incremental writeback, whose checksum is
 // taken from the page image handed to the write. Partial-page log apply
-// (epoch truncation, recovery) refreshes the sidecar by reading pages back,
-// so a corrupting fault on one of those writes is adopted as baseline
-// (write-verify is out of scope there, like disk-internal ECC vs ZFS
-// scrub). The sidecar's own crash-safety contract — a torn or corrupted
-// checksum update must never make a good page look bad — is swept here with
-// the FaultInjectionEnv corruption fault classes.
+// takes its baseline from the bytes after the write: epoch truncation and
+// shard repair read the pages back, and recovery leaves them for Map to
+// checksum from its copy-in. A corrupting fault on one of those writes is
+// therefore adopted as baseline (write-verify is out of scope there, like
+// disk-internal ECC vs ZFS scrub). The sidecar's own crash-safety contract
+// — a torn or corrupted checksum update must never make a good page look
+// bad — is swept here with the FaultInjectionEnv corruption fault classes.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -407,6 +408,117 @@ TEST(IntegrityTest, CachedChecksumMapStaysCoherentAcrossRepairsAndRestart) {
     ASSERT_TRUE(pass.ok());
     EXPECT_EQ(pass->mismatches, 0u) << "shard " << shard;
   }
+}
+
+// Commits a full-region baseline, truncates it (every page checksummed),
+// then leaves a newer image of pages 1 and 2 in the live log and shuts down
+// cleanly: the next Initialize recovers those two pages.
+void LeavePagesOneAndTwoInTheLog(Env& env) {
+  auto rvm = OpenInstance(env);
+  ASSERT_NE(rvm, nullptr);
+  uint8_t* base = MapRegion(*rvm, "/seg");
+  ASSERT_NE(base, nullptr);
+  CommitPattern(*rvm, base, 0, kRegionLen, /*salt=*/0);
+  ASSERT_TRUE(rvm->Truncate().ok());
+  CommitPattern(*rvm, base, kPage + 100, kPage, /*salt=*/5);
+}
+
+// Recovery forgets the checksums of the pages it applies, and Map records
+// them from the bytes it copies in (DESIGN.md §14): in between they are
+// unknown, never stale, and after Map the sidecar describes the file.
+TEST(IntegrityTest, RecoveredPagesTakeTheirChecksumsFromMap) {
+  MemEnv env;
+  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", kLogSize).ok());
+  LeavePagesOneAndTwoInTheLog(env);
+  auto rvm = OpenInstance(env);
+  ASSERT_NE(rvm, nullptr);
+  EXPECT_EQ(rvm->statistics().recovery_records_applied.load(), 1u);
+  {
+    SegmentChecksumMap chk = SegmentChecksumMap::Load(&env, "/seg", kPage);
+    EXPECT_TRUE(chk.known(0));
+    EXPECT_FALSE(chk.known(1)) << "recovery left a checksum it made stale";
+    EXPECT_FALSE(chk.known(2)) << "recovery left a checksum it made stale";
+    EXPECT_TRUE(chk.known(3));
+  }
+  uint8_t* base = MapRegion(*rvm, "/seg");
+  ASSERT_NE(base, nullptr);
+  ExpectSidecarDescribesFile(env, "/seg");
+  EXPECT_EQ(base[kPage + 100], PatternByte(kPage + 100, 5));
+  auto report = rvm->ScrubShard(0);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->pages_scrubbed, kRegionLen / kPage);
+  EXPECT_EQ(report->mismatches, 0u);
+}
+
+// Eager verify-on-map still checks every page recovery did not apply: those
+// keep their checksums through recovery, so corruption of one is caught at
+// Map.
+TEST(IntegrityTest, EagerMapAfterRecoveryCatchesCorruptionOfUnappliedPage) {
+  MemEnv env;
+  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", kLogSize).ok());
+  LeavePagesOneAndTwoInTheLog(env);
+  CorruptFileByte(env, "/seg", 3 * kPage + 11);
+  auto rvm = OpenInstance(env, 1, RvmOptions::VerifyOnMap::kEager);
+  ASSERT_NE(rvm, nullptr);
+  EXPECT_EQ(rvm->statistics().recovery_records_applied.load(), 1u);
+  RegionDescriptor region;
+  region.segment_path = "/seg";
+  region.length = kRegionLen;
+  Status mapped = rvm->Map(region);
+  ASSERT_FALSE(mapped.ok()) << "eager map served a corrupted page";
+  EXPECT_NE(mapped.ToString().find("page 3"), std::string::npos)
+      << mapped.ToString();
+  EXPECT_TRUE(rvm->poisoned());
+}
+
+// A recovered segment that is never mapped gets its applied pages
+// checksummed at Terminate, so a clean shutdown leaves the sidecar as
+// complete as reading them back at recovery did.
+TEST(IntegrityTest, RecoveredSegmentNeverMappedIsChecksummedAtTerminate) {
+  MemEnv env;
+  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", kLogSize).ok());
+  LeavePagesOneAndTwoInTheLog(env);
+  {
+    auto rvm = OpenInstance(env);
+    ASSERT_NE(rvm, nullptr);
+    EXPECT_EQ(rvm->statistics().recovery_records_applied.load(), 1u);
+    ASSERT_TRUE(rvm->Terminate().ok());
+  }
+  ExpectSidecarDescribesFile(env, "/seg");
+}
+
+// RepairShard applies the healed log with the shard's regions mapped, so it
+// reads the applied pages back and records them before the head moves.
+TEST(IntegrityTest, RepairShardChecksumsThePagesItApplies) {
+  constexpr uint32_t kShards = 4;
+  MemEnv env;
+  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", kLogSize,
+                                     /*overwrite=*/false, kShards)
+                  .ok());
+  auto rvm = OpenInstance(env, kShards);
+  ASSERT_NE(rvm, nullptr);
+  std::vector<uint8_t*> bases;
+  for (uint32_t i = 0; i < kShards; ++i) {
+    bases.push_back(MapRegion(*rvm, "/seg" + std::to_string(i), kPage));
+    ASSERT_NE(bases.back(), nullptr);
+  }
+  const uint32_t target = 2;
+  const size_t victim = RegionOnShard(*rvm, bases, target);
+  const std::string victim_path = "/seg" + std::to_string(victim);
+  ASSERT_TRUE(rvm->Truncate().ok());
+  // A live record covering byte 0 only, then rot byte 9: the log cannot
+  // rebuild the whole page, so the scrub quarantines the shard.
+  ASSERT_TRUE(CommitByteTo(*rvm, bases[victim], 0x5A).ok());
+  CorruptFileByte(env, victim_path, 9);
+  auto report = rvm->ScrubShard(target);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->quarantined, 1u);
+  CorruptFileByte(env, victim_path, 9);  // the flip undone: media healed
+  Status repaired = rvm->RepairShard(target);
+  ASSERT_TRUE(repaired.ok()) << repaired.ToString();
+  EXPECT_EQ(rvm->statistics().Snapshot().recovery_records_applied, 1u);
+  EXPECT_EQ(ReadFileByte(env, victim_path, 0), 0x5A);
+  ExpectSidecarDescribesFile(env, victim_path);
 }
 
 // Whole-page incremental writeback is checked at write time: the sidecar

@@ -706,6 +706,134 @@ TEST(RestartCostTest, InitializeReadsEachShardLogOnce) {
       << "the cross-shard transaction did not survive the restart";
 }
 
+TEST(RestartCostTest, RestartReadsEachSegmentByteOnce) {
+  // Recovery leaves the checksums of the pages it applies for Map to take
+  // from the bytes it copies in (DESIGN.md §14), so after a crash
+  // Initialize reads nothing from the data segment and Initialize + Map
+  // read each region byte once. The sidecar sits on a disk of its own, so
+  // only segment reads are counted.
+  constexpr uint64_t kRegion = 64 * kPage;
+  constexpr uint64_t kData = 1000;
+  constexpr uint64_t kTxns = 96;
+  SimClock clock;
+  SimDisk log_disk(&clock, "log");
+  SimDisk data_disk(&clock, "data");
+  SimDisk sidecar_disk(&clock, "sidecar");
+  SimEnv sim(&clock);
+  sim.Mount("/log", &log_disk);
+  sim.Mount("/data", &data_disk);
+  sim.Mount("/data/seg.chk", &sidecar_disk);
+  ASSERT_TRUE(RvmInstance::CreateLog(&sim, "/log/rvm", 4ull << 20).ok());
+  RegionDescriptor region;
+  region.segment_path = "/data/seg";
+  region.length = kRegion;
+  {
+    FaultInjectionEnv env(&sim);
+    RvmOptions options;
+    options.env = &env;
+    options.log_path = "/log/rvm";
+    auto rvm = RvmInstance::Initialize(options);
+    ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+    ASSERT_TRUE((*rvm)->Map(region).ok());
+    auto* base = static_cast<uint8_t*>(region.address);
+    for (uint64_t i = 0; i < kTxns; ++i) {
+      if (i == kTxns / 2) {
+        // Halfway, a truncation: the sidecar then holds checksums that the
+        // later records make stale.
+        ASSERT_TRUE((*rvm)->Truncate().ok());
+      }
+      Transaction txn(**rvm);
+      uint8_t* at = base + (i * 7919) % (kRegion - kData);
+      ASSERT_TRUE((*rvm)->SetRange(txn.id(), at, kData).ok());
+      std::memset(at, static_cast<int>(i + 1), kData);
+      ASSERT_TRUE(txn.Commit(CommitMode::kFlush).ok());
+    }
+    FaultSpec power_cut;
+    power_cut.op = FaultOp::kWriteAt;
+    power_cut.sticky = true;
+    env.InjectFault(power_cut);
+  }
+  ASSERT_TRUE(sim.Exists("/data/seg.chk"));
+  const uint64_t read_before = data_disk.bytes_read();
+  RvmOptions options;
+  options.env = &sim;
+  options.log_path = "/log/rvm";
+  auto rvm = RvmInstance::Initialize(options);
+  ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+  EXPECT_EQ((*rvm)->statistics().recovery_records_applied.load(), kTxns / 2);
+  EXPECT_EQ(data_disk.bytes_read() - read_before, 0u)
+      << "recovery read the data segment back";
+  region.address = nullptr;
+  ASSERT_TRUE((*rvm)->Map(region).ok());
+  EXPECT_EQ(data_disk.bytes_read() - read_before, kRegion)
+      << "Initialize + Map read the region more than once";
+  const auto* base = static_cast<const uint8_t*>(region.address);
+  EXPECT_EQ(base[((kTxns - 1) * 7919) % (kRegion - kData)], kTxns);
+  auto report = (*rvm)->ScrubShard(0);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->mismatches, 0u);
+}
+
+TEST(ChecksumCrashTest, CrashBetweenRecoveryAndMapLeavesAppliedPagesUnknown) {
+  // The window deferred checksums open (DESIGN.md §14): recovery has
+  // forgotten the checksums of the pages it applied and emptied the log,
+  // and the power fails before Map records them. Those pages stay unknown,
+  // never stale, so the next scrub adopts them and finds nothing wrong.
+  constexpr uint64_t kBigLog = kLogDataStart + 256 * 1024;
+  CrashSimEnv env;
+  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", kBigLog).ok());
+  RvmOptions options;
+  options.env = &env;
+  options.log_path = "/log";
+  auto commit = [](RvmInstance& rvm, uint8_t* at, uint64_t length,
+                   uint8_t value) {
+    Transaction txn(rvm);
+    ASSERT_TRUE(rvm.SetRange(txn.id(), at, length).ok());
+    std::memset(at, value, length);
+    ASSERT_TRUE(txn.Commit(CommitMode::kFlush).ok());
+  };
+  {
+    auto rvm = RvmInstance::Initialize(options);
+    ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+    RegionDescriptor region;
+    region.segment_path = "/seg";
+    region.length = kRegionLen;
+    ASSERT_TRUE((*rvm)->Map(region).ok());
+    auto* base = static_cast<uint8_t*>(region.address);
+    commit(**rvm, base, kRegionLen, 0x11);
+    ASSERT_TRUE((*rvm)->Truncate().ok());  // every page checksummed
+    commit(**rvm, base + kPage + 100, kPage, 0x22);  // pages 1 and 2, live
+    ASSERT_TRUE((*rvm)->Terminate().ok());
+  }
+  {
+    auto rvm = RvmInstance::Initialize(options);
+    ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+    ASSERT_EQ((*rvm)->statistics().recovery_records_applied.load(), 1u);
+    env.Crash();  // before any Map; the dying Terminate fails
+  }
+  env.Recover();
+  SegmentChecksumMap chk = SegmentChecksumMap::Load(&env, "/seg", kPage);
+  EXPECT_TRUE(chk.known(0));
+  EXPECT_FALSE(chk.known(1));
+  EXPECT_FALSE(chk.known(2));
+  EXPECT_TRUE(chk.known(3));
+  auto rvm = RvmInstance::Initialize(options);
+  ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+  EXPECT_EQ((*rvm)->statistics().recovery_records_applied.load(), 0u)
+      << "the crash came after recovery emptied the log";
+  auto report = (*rvm)->ScrubShard(0);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->pages_scrubbed, kRegionLen / kPage);
+  EXPECT_EQ(report->mismatches, 0u);
+  RegionDescriptor region;
+  region.segment_path = "/seg";
+  region.length = kRegionLen;
+  ASSERT_TRUE((*rvm)->Map(region).ok());
+  const auto* base = static_cast<const uint8_t*>(region.address);
+  EXPECT_EQ(base[kPage + 100], 0x22);
+  EXPECT_EQ(base[kPage + 99], 0x11);
+}
+
 TEST(CrashRecoveryTest, RandomWritebackAtCrashStillAtomic) {
   // flush_on_crash persists a random subset prefix of pending writes at the
   // moment of failure (page cache racing power loss).
